@@ -63,6 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seeds", type=int, help="scenario count per randomized suite")
     verify.add_argument("--out", help="write the report JSON here")
+    verify.add_argument("--threads", type=int, default=1,
+                        help="worker processes for the per-seed cases (default 1)")
     _common_options(verify)
 
     inspect = sub.add_parser("inspect", help="print partition weights and coefficients")
@@ -72,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=1, help="corrector-internal threads")
     parser.add_argument("--max-z", type=int, dest="max_z",
                         help="raise the measurement-count cap (see --acknowledge-cost)")
     parser.add_argument("--acknowledge-cost", action="store_true",
@@ -80,7 +81,7 @@ def _common_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _apply_options(scenario, args):
-    updates = {"threads": args.threads}
+    updates = {}
     if args.max_z is not None:
         updates["max_measurements"] = args.max_z
     if args.acknowledge_cost:

@@ -7,8 +7,14 @@ routes.  The table is built from four layers:
   phi        prior-expected missed-detection mass p[1 - p_D + p_D G_Z(0)]
   eta[V]     detected-cell mass p[p_D G_Z^(|V|)(0) prod ratios] per label set
   beta[W]    zeta_FA^(|W|)(0) + sum over sub-partitions Q of W of
-             zeta_prior^(|Q|)(phi) * alpha_Q,  with alpha_Q = prod eta
+             zeta_prior^(|Q|)(phi) * (product of eta over the cells of Q)
   omega[P]   normalized products of beta over the cells of each partition
+
+Every partition sum except omega's runs through `partitions.partition_sums`
+in a ring of its own: cell-counting polynomials for the sub-partition sums in
+beta, floats for kappa and the intensity coefficients, derivative series for
+the series route, plain sequences for the closed form.  Omega, which result
+files carry in full, is enumerated; so are the reference functions below.
 
 The intensity update follows the summary formula with the correction
 constant kappa; the cardinality comes from differentiating the posterior
@@ -17,18 +23,13 @@ series of the p.g.f. numerator directly (series products need no lemma);
 the closed-form route implements the published expression verbatim and is
 reported alongside with its deviation, because its cell-derivative step
 drops chain-rule terms for non-poisson priors.
-
-All partition-indexed accumulations collect per-partition terms in
-canonical enumeration order and reduce them with exact summation, so
-results are independent of the thread count.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -41,13 +42,12 @@ from .errors import (
     SizeLimitError,
     ValidationError,
 )
-from .partitions import Cell, Partition, partitions_of, subpartitions_of
+from .partitions import Cell, Partition, partition_sums, partitions_of, subpartitions_of
 from .pgf import (
     DEFAULT_MAX_ORDER,
     MAX_SUPPORT,
     CardinalityPgf,
     Jet,
-    pgf_product_series,
     poisson_truncation_order,
 )
 from .statespace import (
@@ -63,6 +63,9 @@ from .statespace import (
 
 PRODUCT_OVERFLOW = 1e300
 DENOMINATOR_FLOOR = 1e-300
+# Normalization a posterior cardinality must meet, else the step warns.
+CARDINALITY_SUM_TOL = 1e-10
+FIRST_MOMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,6 @@ class CorrectorOptions:
 
     max_measurements: int = 8
     acknowledge_cost: bool = False
-    threads: int = 1
     cardinality_order: int | None = None
     max_derivative_order: int = DEFAULT_MAX_ORDER
 
@@ -106,7 +108,6 @@ class CoefficientTable:
     zeta_prior: tuple[float, ...]
     zeta_clutter: tuple[float, ...]
     eta: dict[Cell, float]
-    alpha: dict[Partition, float]
     beta: dict[Cell, float]
     omega: dict[Partition, float]
     kappa: float
@@ -148,7 +149,7 @@ def cell_detection_mass(cell, density: SpatialDensity, measurements: Measurement
 
 
 def subpartition_product(subpartition: Partition, eta: Mapping[Cell, float]) -> float:
-    """alpha_Q: product of eta over the cells of a sub-partition."""
+    """Product of eta over the cells of a sub-partition."""
     product = 1.0
     for cell in subpartition:
         product *= eta[cell]
@@ -218,19 +219,30 @@ def missed_detection_correction(omega: Mapping[Partition, float],
     return math.fsum(terms)
 
 
-def _pmap(fn, items, threads: int):
-    """Order-preserving map, optionally on a thread pool; results are
-    identical for any thread count because each item is computed
-    independently and reduced serially by the caller."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(items) // (threads * 4))
-        return list(pool.map(fn, items, chunksize=chunk))
+def _poly(m: int, *coeffs) -> np.ndarray:
+    """Coefficients of a polynomial of degree at most m, lowest first."""
+    poly = np.zeros(m + 1)
+    poly[: len(coeffs)] = coeffs
+    return poly
+
+
+def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Degrees inside a partition sum add up to at most |Z|: nothing is cut.
+    return np.convolve(a, b)[: a.size]
+
+
+def _poly_total(polys) -> np.ndarray:
+    return np.array([math.fsum(column) for column in np.array(polys).T.tolist()])
+
+
+def _jet_total(jets) -> Jet:
+    return Jet(tuple(math.fsum(column) for column in zip(*(jet.coeffs for jet in jets))))
 
 
 class _Workspace:
-    """Everything one corrector step shares between its operations."""
+    """Everything one corrector step shares between its operations.
+
+    Cells are label bitmasks 1..full; `cell_of[mask]` is the label tuple."""
 
     def __init__(self, prior_intensity: Intensity, prior_card: CardinalityPgf,
                  measurements: MeasurementSet, model: SensorModel,
@@ -249,7 +261,6 @@ class _Workspace:
         self.phi = bracket(self.density, self.miss)
         self.ratios = ratio_matrix(measurements, model)
         self.gz_der = model.meas_derivatives_at_zero(m)
-        self.cache: dict = {}
 
         max_order = options.max_derivative_order
         zeta_prior = prior_card.log_derivatives_at(self.phi, m + 1, max_order=max_order)
@@ -260,46 +271,37 @@ class _Workspace:
             zeta_clutter = [0.0]
         self.zeta_clutter = tuple(zeta_clutter)
 
-        labels = tuple(range(m))
-        self.cells: list[Cell] = []
-        for size in range(1, m + 1):
-            self.cells.extend(itertools.combinations(labels, size))
-
-        self.psi: dict[Cell, np.ndarray] = {}
+        self.full = full = (1 << m) - 1
+        self.cells = range(1, full + 1)
+        self.cell_of = [tuple(z for z in range(m) if mask >> z & 1) for mask in range(full + 1)]
+        self.psi = [None] * (full + 1)
         self.eta: dict[Cell, float] = {}
-        for cell in self.cells:
-            profile = detection_profile(cell, measurements, model,
-                                        ratios=self.ratios, gz_derivatives=self.gz_der)
-            self.psi[cell] = profile
-            self.eta[cell] = bracket(self.density, profile)
-
-        # Per-cell sub-partition aggregates: alpha per sub-partition, and
-        # size_sums[W][q] = sum of alpha over sub-partitions of W with q cells.
-        self.alpha: dict[Partition, float] = {}
-        self.size_sums: dict[Cell, list[float]] = {}
-        for cell in self.cells:
-            sums = [[] for _ in range(len(cell) + 1)]
-            for sub in subpartitions_of(cell, cache=self.cache, cap=cap):
-                a = subpartition_product(sub, self.eta)
-                self.alpha[sub] = a
-                sums[len(sub)].append(a)
-            self.size_sums[cell] = [math.fsum(bucket) for bucket in sums]
+        # Weight eta[W] * t, with t counting cells: size_sums[W][q] sums the
+        # eta products over the sub-partitions of W into q cells.
+        marked = [_poly(m, 1.0)] + [None] * full
+        for mask in self.cells:
+            cell = self.cell_of[mask]
+            self.psi[mask] = detection_profile(cell, measurements, model,
+                                               ratios=self.ratios, gz_derivatives=self.gz_der)
+            self.eta[cell] = bracket(self.density, self.psi[mask])
+            marked[mask] = _poly(m, 0.0, self.eta[cell])
+        self.size_sums = [p.tolist() for p in partition_sums(marked, _poly_mul, _poly_total, True)]
 
         self.beta: dict[Cell, float] = {}
-        self.k_term: dict[Cell, float] = {(): self.zeta_prior[1]}
-        for cell in self.cells:
-            sums = self.size_sums[cell]
-            self.beta[cell] = math.fsum(
-                [self.zeta_clutter[len(cell)]]
-                + [sums[q] * self.zeta_prior[q] for q in range(1, len(cell) + 1)]
+        beta = [1.0] * (full + 1)
+        k_term = [self.zeta_prior[1]] * (full + 1)
+        for mask in self.cells:
+            sums, size = self.size_sums[mask], len(self.cell_of[mask])
+            beta[mask] = self.beta[self.cell_of[mask]] = math.fsum(
+                [self.zeta_clutter[size]]
+                + [sums[q] * self.zeta_prior[q] for q in range(1, size + 1)]
             )
-            self.k_term[cell] = math.fsum(
-                sums[q] * self.zeta_prior[q + 1] for q in range(1, len(cell) + 1)
+            k_term[mask] = math.fsum(
+                sums[q] * self.zeta_prior[q + 1] for q in range(1, size + 1)
             )
 
-        self.partitions = partitions_of(labels, cap=cap)
-        products = _pmap(lambda p: _beta_product(p, self.beta), self.partitions, options.threads)
-        self.products = products
+        self.partitions = partitions_of(range(m), cap=cap)
+        products = [_beta_product(p, self.beta) for p in self.partitions]
         self.normalizer = math.fsum(products)
         if abs(self.normalizer) < DENOMINATOR_FLOOR:
             raise DegenerateUpdateError(
@@ -308,36 +310,20 @@ class _Workspace:
             )
         self.omega = {p: v / self.normalizer for p, v in zip(self.partitions, products)}
 
-        # Splits of each cell into a detected sub-cell V and its remainder.
-        self.splits: dict[Cell, list[tuple[Cell, Cell]]] = {}
+        # Over the partitions that contain cell W the other cells' beta
+        # products sum to rest[full ^ W].  Detected sub-cell V of W then takes
+        # k_term[W - V]; the empty V collects kappa.
+        rest = partition_sums(beta, operator.mul, math.fsum, every_subset=True)
+        terms = [[] for _ in range(full + 1)]
         for cell in self.cells:
-            pairs = []
-            for size in range(1, len(cell) + 1):
-                for chosen in itertools.combinations(cell, size):
-                    rest = tuple(z for z in cell if z not in chosen)
-                    pairs.append((chosen, rest))
-            self.splits[cell] = pairs
-
-        kappa_terms = []
-        intensity_terms: dict[Cell, list[float]] = {cell: [] for cell in self.cells}
-        for partition, product in zip(self.partitions, products):
-            if product == 0.0:
-                continue
-            for cell in partition:
-                b = self.beta[cell]
-                if b == 0.0:
-                    raise DivisionSingularityError(
-                        f"cell {cell} has zero coefficient but its partition carries weight"
-                    )
-                scale = product / b
-                kappa_terms.append(scale * self.k_term[cell])
-                for chosen, rest in self.splits[cell]:
-                    intensity_terms[chosen].append(scale * self.k_term[rest])
-        self.kappa = math.fsum(kappa_terms) / self.normalizer
-        self.intensity_coeff = {
-            cell: math.fsum(terms) / self.normalizer
-            for cell, terms in intensity_terms.items()
-        }
+            sub = cell
+            while True:
+                terms[sub].append(rest[full ^ cell] * k_term[cell ^ sub])
+                if not sub:
+                    break
+                sub = (sub - 1) & cell
+        self.intensity_coeff = [math.fsum(t) / self.normalizer for t in terms]
+        self.kappa = self.intensity_coeff[0]
 
     @property
     def table(self) -> CoefficientTable:
@@ -346,7 +332,6 @@ class _Workspace:
             zeta_prior=self.zeta_prior,
             zeta_clutter=self.zeta_clutter,
             eta=dict(self.eta),
-            alpha=dict(self.alpha),
             beta=dict(self.beta),
             omega=dict(self.omega),
             kappa=self.kappa,
@@ -359,10 +344,10 @@ class _Workspace:
         p = self.density.values
         base = (self.zeta_prior[1] + self.kappa) * self.miss * p
         detected = np.zeros_like(base)
-        for cell in self.cells:
-            coeff = self.intensity_coeff[cell]
+        for mask in self.cells:
+            coeff = self.intensity_coeff[mask]
             if coeff != 0.0:
-                detected = detected + coeff * self.psi[cell]
+                detected = detected + coeff * self.psi[mask]
         values = base + detected * p
         clipped = 0
         warnings = []
@@ -425,27 +410,16 @@ class _Workspace:
             zeta_jet = Jet(tuple(phi_powers[j] * zeta0[q + j] for j in range(order + 1)))
             monomial_series[q] = Jet.monomial(q, order) * zeta_jet
 
-        cell_jets: dict[Cell, Jet] = {}
-        for cell in self.cells:
-            jet = Jet.constant(self.zeta_clutter[len(cell)], order)
-            sums = self.size_sums[cell]
-            for q in range(1, len(cell) + 1):
+        cell_jets = [Jet.constant(1.0, order)] + [None] * self.full
+        for mask in self.cells:
+            sums, size = self.size_sums[mask], len(self.cell_of[mask])
+            jet = Jet.constant(self.zeta_clutter[size], order)
+            for q in range(1, size + 1):
                 if sums[q] != 0.0:
                     jet = jet + monomial_series[q].scale(sums[q])
-            cell_jets[cell] = jet
+            cell_jets[mask] = jet
 
-        def partition_jet(partition: Partition) -> Jet:
-            if len(partition) == 0:
-                return Jet.constant(1.0, order)
-            return pgf_product_series([cell_jets[cell] for cell in partition])
-
-        jets = _pmap(partition_jet, self.partitions, self.options.threads)
-        summed = Jet(
-            tuple(
-                math.fsum(jet.coeffs[k] for jet in jets)
-                for k in range(order + 1)
-            )
-        )
+        summed = partition_sums(cell_jets, operator.mul, _jet_total)[self.full]
         scale = 1.0 / (self.prior_card.eval(self.phi) * self.normalizer)
         posterior = (outer * summed).scale(scale)
         probs = np.array(
@@ -467,24 +441,12 @@ class _Workspace:
         order = self.posterior_order()
         zeta0 = self._zeta_prior_at_zero(m) if m > 0 else None
 
-        def cell_sequence(cell: Cell):
-            sums = self.size_sums[cell]
-            seq = [self.zeta_clutter[len(cell)]]
-            for q in range(1, len(cell) + 1):
-                seq.append(sums[q] * zeta0[q])
-            return seq
-
-        def partition_vector(partition: Partition):
-            vec = [1.0]
-            for cell in partition:
-                vec = np.convolve(vec, cell_sequence(cell)).tolist()
-            return vec
-
-        vectors = _pmap(partition_vector, self.partitions, self.options.threads)
-        inner = [
-            math.fsum(vec[i] for vec in vectors if i < len(vec))
-            for i in range(m + 1)
-        ]
+        sequences = [_poly(m, 1.0)] + [None] * self.full
+        for mask in self.cells:
+            sums, size = self.size_sums[mask], len(self.cell_of[mask])
+            sequences[mask] = _poly(
+                m, self.zeta_clutter[size], *(sums[q] * zeta0[q] for q in range(1, size + 1)))
+        inner = partition_sums(sequences, _poly_mul, _poly_total)[self.full].tolist()
         scale = 1.0 / (self.prior_card.eval(self.phi) * self.normalizer)
         probs = np.zeros(order + 1)
         for n in range(order + 1):
@@ -498,7 +460,7 @@ class _Workspace:
 def coefficient_table(prior_intensity: Intensity, prior_card: CardinalityPgf,
                       measurements: MeasurementSet, model: SensorModel,
                       options: CorrectorOptions = CorrectorOptions()) -> CoefficientTable:
-    """Assemble phi, eta, alpha, beta, omega, kappa for one measurement set."""
+    """Assemble phi, eta, beta, omega, kappa for one measurement set."""
     return _Workspace(prior_intensity, prior_card, measurements, model, options).table
 
 
@@ -541,9 +503,15 @@ def corrector_step(prior_intensity: Intensity, prior_card: CardinalityPgf,
     grid = model.grid
     mass = float(np.dot(intensity, grid.weights))
     mean_from_card = float(np.dot(np.arange(cardinality.size), cardinality))
+    card_sum = math.fsum(cardinality.tolist())
+    if abs(card_sum - 1.0) > CARDINALITY_SUM_TOL:
+        warnings.append(f"posterior cardinality sums to {card_sum!r}, not 1 within 1e-10")
+    if abs(mass - mean_from_card) > FIRST_MOMENT_TOL:
+        warnings.append(f"posterior cardinality mean {mean_from_card!r} differs from the "
+                        f"intensity mass {mass!r} by more than 1e-09")
     diagnostics = {
         "omega_sum": math.fsum(ws.omega.values()),
-        "cardinality_sum": math.fsum(cardinality.tolist()),
+        "cardinality_sum": card_sum,
         "posterior_mass": mass,
         "posterior_mean_from_cardinality": mean_from_card,
         "route_max_deviation": float(np.max(np.abs(cardinality - closed_form)))

@@ -121,6 +121,35 @@ def subpartitions_of(cell, cache: dict | None = None, cap: int = DEFAULT_CAP) ->
     return result
 
 
+def partition_sums(weight, mul, total, every_subset: bool = False) -> list:
+    """Partition sums over label bitmasks, in any commutative ring.
+
+    F[S] sums, over the partitions of bitmask S, the product of weight[W]
+    over the cells W.  `mul` multiplies two ring elements and `total` sums a
+    list of them; an exact sum keeps rounding from piling up over the terms.
+    weight has 2**n entries, weight[0] being the unit.  Fixing the lowest
+    label, F(S) = sum of weight[W] * F(S - W) over the W within S that hold
+    min S: O(3**n) products, no Partition built.  Without `every_subset` only
+    what F[full] needs is evaluated (the sets without label 0, and the full
+    set); the other entries stay None.
+    """
+    full = len(weight) - 1
+    sums = [weight[0]] + [None] * full
+    for mask in range(1, full + 1):
+        if mask & 1 and mask != full and not every_subset:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        terms = [weight[mask]]
+        # Cells low|sub for every proper submask sub of rest, down to sub = 0.
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            terms.append(mul(weight[low | sub], sums[rest ^ sub]))
+        sums[mask] = total(terms)
+    return sums
+
+
 def is_partition_of(partition: Partition, ground) -> bool:
     """Invariant checker: disjoint, non-empty, canonical cells covering `ground`."""
     seen: set[int] = set()

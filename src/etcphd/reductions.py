@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateUpdateError, ModelMismatchError
-from .partitions import Cell, Partition, partitions_of
+from .partitions import Cell, Partition, partitions_of, subpartitions_of
 from .pgf import CardinalityPgf, poisson_truncation_order
 from .statespace import (
     Intensity,
@@ -207,8 +207,8 @@ def check_poisson_reduction(scenario, tolerance: float = 1e-12,
     """Compare the corrector with the ET-PHD reference on a poisson scenario.
 
     Reports max intensity deviation, |kappa|, and the gap between partition
-    weights computed from beta and from d; passes iff all stay within
-    tolerance.
+    weights computed from beta and from d, plus the step's diagnostics;
+    passes iff all stay within tolerance.
     """
     from .corrector import corrector_step
 
@@ -235,6 +235,7 @@ def check_poisson_reduction(scenario, tolerance: float = 1e-12,
         "tolerance": tolerance,
         "kappa_tolerance": kappa_tolerance,
         "pass": bool(passed),
+        "diagnostics": result.diagnostics,
     }
 
 
@@ -243,9 +244,9 @@ def check_standard_reduction(scenario, tolerance: float = 1e-12) -> dict:
 
     Also asserts the structural collapses: detected-cell masses vanish for
     cells of two or more measurements, and only all-singleton sub-partitions
-    contribute.
+    contribute.  The report carries the step's diagnostics.
     """
-    from .corrector import corrector_step
+    from .corrector import corrector_step, subpartition_product
 
     result = corrector_step(
         scenario.prior_intensity, scenario.prior_card,
@@ -267,10 +268,10 @@ def check_standard_reduction(scenario, tolerance: float = 1e-12) -> dict:
     for cell, value in result.coefficients.eta.items():
         if len(cell) >= 2:
             eta_violation = max(eta_violation, abs(value))
-    alpha_violation = 0.0
-    for sub, value in result.coefficients.alpha.items():
-        if any(len(cell) >= 2 for cell in sub):
-            alpha_violation = max(alpha_violation, abs(value))
+    eta = result.coefficients.eta
+    alpha_violation = max((abs(subpartition_product(sub, eta))
+                           for cell in eta for sub in subpartitions_of(cell)
+                           if any(len(part) >= 2 for part in sub)), default=0.0)
 
     passed = (
         intensity_dev <= tolerance
@@ -286,6 +287,7 @@ def check_standard_reduction(scenario, tolerance: float = 1e-12) -> dict:
         "alpha_nonsingleton_max": alpha_violation,
         "tolerance": tolerance,
         "pass": bool(passed),
+        "diagnostics": result.diagnostics,
     }
 
 

@@ -243,7 +243,6 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
         known = {
             "max_z": ("max_measurements", int),
             "acknowledge_cost": ("acknowledge_cost", bool),
-            "threads": ("threads", int),
             "n_max": ("cardinality_order", int),
             "max_derivative_order": ("max_derivative_order", int),
         }
@@ -364,7 +363,6 @@ def step_result_from_dict(doc: dict) -> StepResult:
         zeta_prior=tuple(coeff_doc["zeta_prior_at_phi"]),
         zeta_clutter=tuple(coeff_doc["zeta_clutter_at_zero"]),
         eta={_parse_cell(k): float(v) for k, v in coeff_doc["eta"].items()},
-        alpha={},
         beta={_parse_cell(k): float(v) for k, v in coeff_doc["beta"].items()},
         omega=omega,
         kappa=float(coeff_doc["kappa"]),

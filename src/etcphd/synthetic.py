@@ -68,15 +68,18 @@ def _assemble(rng, n_points, n_values, prior_card, meas_cards, p_d,
     )
 
 
-def micro_scenario(seed: int) -> Scenario:
+def micro_scenario(seed: int, n_measurements: int | None = None) -> Scenario:
     """Oracle-scale scenario: at most 4 grid points, 5 measurement values,
-    prior support 3, 3 measurements, detection probabilities across [0, 1]."""
+    prior support 3, up to 3 measurements unless `n_measurements` is given,
+    detection probabilities across [0, 1]."""
     rng = make_rng(seed)
     n_points = int(rng.integers(2, 5))
     n_values = int(rng.integers(2, 6))
     prior_card = _finite_card(rng, 3)
     p_d = rng.uniform(0.0, 1.0, n_points)
-    n_measurements = int(rng.integers(0, 4))
+    # Drawn either way, so a given count leaves the rest of the stream alone.
+    drawn = int(rng.integers(0, 4))
+    n_measurements = drawn if n_measurements is None else n_measurements
     # Finite clutter must be able to explain all measurements on its own,
     # otherwise a random draw can be an impossible observation.
     if rng.uniform() < 0.5:

@@ -1,16 +1,21 @@
 """Verification suites: self-contained checks behind the `verify` CLI command.
 
 Each suite returns a JSON-ready report dict with one entry per check; report
-contents are deterministic functions of the seeds and thread-independent, so
-report files can be compared byte for byte across runs.  Wall-clock timing
-is printed by the CLI, never stored in reports.
+contents are deterministic functions of the seeds, so report files can be
+compared byte for byte across runs.  Wall-clock timing is printed by the
+CLI, never stored in reports.  With `threads` above one a suite runs its
+independent per-seed cases on a pool of worker processes; each case returns
+a small record and the suite reduces the records in seed order, so the
+report does not depend on the pool.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
+import multiprocessing
+import os
 
-from .corrector import coefficient_table, corrector_step
+from .corrector import CARDINALITY_SUM_TOL, FIRST_MOMENT_TOL, coefficient_table, corrector_step
 from .oracle import compare_to_corrector, exact_posterior
 from .partitions import bell_number, is_partition_of, partitions_of, subpartitions_of
 from .reductions import check_poisson_reduction, check_standard_reduction
@@ -29,26 +34,34 @@ def _check(name, value, tolerance=None, passed=None):
     return entry
 
 
-def _with_threads(scenario, threads: int):
-    if threads == scenario.options.threads:
-        return scenario
-    scenario.options = dataclasses.replace(scenario.options, threads=threads)
-    return scenario
+def _map_cases(check, make, seeds, threads: int) -> list:
+    """check(make(seed)) per seed, in seed order, with the checks on at most
+    `threads` worker processes (never more than there are cores)."""
+    scenarios = [make(seed) for seed in seeds]
+    workers = min(threads, os.cpu_count() or 1, len(scenarios))
+    if workers <= 1:
+        return [check(scenario) for scenario in scenarios]
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        return pool.map(check, scenarios)
 
 
-def _normalization_checks(results):
+def _diagnostics(scenario) -> dict:
+    return corrector_step(scenario.prior_intensity, scenario.prior_card,
+                          scenario.measurements, scenario.model, scenario.options).diagnostics
+
+
+def _normalization_checks(diagnostics):
     """Criterion-level consistency of every update: partition weights sum to
     one, the cardinality sums to one, and both posterior first moments agree."""
-    omega_err = max(abs(r.diagnostics["omega_sum"] - 1.0) for r in results)
-    card_err = max(abs(r.diagnostics["cardinality_sum"] - 1.0) for r in results)
+    omega_err = max(abs(d["omega_sum"] - 1.0) for d in diagnostics)
+    card_err = max(abs(d["cardinality_sum"] - 1.0) for d in diagnostics)
     moment_err = max(
-        abs(r.diagnostics["posterior_mass"] - r.diagnostics["posterior_mean_from_cardinality"])
-        for r in results
+        abs(d["posterior_mass"] - d["posterior_mean_from_cardinality"]) for d in diagnostics
     )
     return [
         _check("omega_sum_max_error", omega_err, 1e-12),
-        _check("cardinality_sum_max_error", card_err, 1e-10),
-        _check("first_moment_max_gap", moment_err, 1e-9),
+        _check("cardinality_sum_max_error", card_err, CARDINALITY_SUM_TOL),
+        _check("first_moment_max_gap", moment_err, FIRST_MOMENT_TOL),
     ]
 
 
@@ -113,20 +126,24 @@ def _explicit_expansion(scenario, order: int) -> float:
     return product_term + zeta_fa2 + zeta_p2 * singles[0] * singles[1] + zeta_p1 * pair
 
 
+def _identity_deviation(scenario) -> float:
+    table = coefficient_table(
+        scenario.prior_intensity, scenario.prior_card,
+        scenario.measurements, scenario.model, scenario.options,
+    )
+    explicit = _explicit_expansion(scenario, len(scenario.measurements))
+    return abs(explicit - table.normalizer) / max(1.0, abs(table.normalizer))
+
+
 def run_identities_suite(seeds: int = 25, threads: int = 1, base_seed: int = 510) -> dict:
     """Explicit one- and two-measurement derivative expansions against the
     partition formula's products of cell coefficients."""
-    worst = {1: 0.0, 2: 0.0}
-    for index in range(seeds):
-        for m in (1, 2):
-            scenario = _with_threads(mixed_scenario(base_seed + 101 * index + m, m), threads)
-            table = coefficient_table(
-                scenario.prior_intensity, scenario.prior_card,
-                scenario.measurements, scenario.model, scenario.options,
-            )
-            explicit = _explicit_expansion(scenario, m)
-            deviation = abs(explicit - table.normalizer) / max(1.0, abs(table.normalizer))
-            worst[m] = max(worst[m], deviation)
+    worst = {
+        m: max([0.0] + _map_cases(
+            _identity_deviation, functools.partial(mixed_scenario, n_measurements=m),
+            [base_seed + 101 * index + m for index in range(seeds)], threads))
+        for m in (1, 2)
+    }
     checks = [
         _check("first_derivative_max_rel_deviation", worst[1], 1e-12),
         _check("second_derivative_max_rel_deviation", worst[2], 1e-12),
@@ -140,15 +157,8 @@ def run_identities_suite(seeds: int = 25, threads: int = 1, base_seed: int = 510
 
 
 def run_poisson_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: int = 2200) -> dict:
-    results = []
-    reports = []
-    for index in range(seeds):
-        scenario = _with_threads(poisson_scenario(base_seed + index), threads)
-        reports.append(check_poisson_reduction(scenario))
-        results.append(
-            corrector_step(scenario.prior_intensity, scenario.prior_card,
-                           scenario.measurements, scenario.model, scenario.options)
-        )
+    reports = _map_cases(check_poisson_reduction, poisson_scenario,
+                         range(base_seed, base_seed + seeds), threads)
     checks = [
         _check("intensity_max_rel_deviation",
                max(r["intensity_max_rel_deviation"] for r in reports), 1e-12),
@@ -156,7 +166,7 @@ def run_poisson_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: in
         _check("omega_max_deviation",
                max(r["omega_max_deviation"] for r in reports), 1e-12),
     ]
-    checks.extend(_normalization_checks(results))
+    checks.extend(_normalization_checks([r["diagnostics"] for r in reports]))
     return {
         "suite": "poisson-reduction",
         "scenarios": seeds,
@@ -166,15 +176,8 @@ def run_poisson_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: in
 
 
 def run_standard_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: int = 3300) -> dict:
-    results = []
-    reports = []
-    for index in range(seeds):
-        scenario = _with_threads(standard_scenario(base_seed + index), threads)
-        reports.append(check_standard_reduction(scenario))
-        results.append(
-            corrector_step(scenario.prior_intensity, scenario.prior_card,
-                           scenario.measurements, scenario.model, scenario.options)
-        )
+    reports = _map_cases(check_standard_reduction, standard_scenario,
+                         range(base_seed, base_seed + seeds), threads)
     checks = [
         _check("intensity_max_rel_deviation",
                max(r["intensity_max_rel_deviation"] for r in reports), 1e-12),
@@ -187,7 +190,7 @@ def run_standard_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: i
                max(r["alpha_nonsingleton_max"] for r in reports),
                passed=all(r["alpha_nonsingleton_max"] == 0.0 for r in reports)),
     ]
-    checks.extend(_normalization_checks(results))
+    checks.extend(_normalization_checks([r["diagnostics"] for r in reports]))
     return {
         "suite": "standard-reduction",
         "scenarios": seeds,
@@ -215,23 +218,22 @@ def oracle_comparison(scenario) -> dict:
     )
     report = compare_to_corrector(reference, result)
     report["skipped"] = False
-    report["result"] = result
+    report["diagnostics"] = result.diagnostics
     return report
 
 
 def run_oracle_suite(seeds: int = 100, threads: int = 1, base_seed: int = 4400) -> dict:
-    results = []
+    diagnostics = []
     intensity_err = 0.0
     tv_err = 0.0
     moment_err = 0.0
     skipped = 0
-    for index in range(seeds):
-        scenario = _with_threads(micro_scenario(base_seed + index), threads)
-        report = oracle_comparison(scenario)
+    for report in _map_cases(oracle_comparison, micro_scenario,
+                             range(base_seed, base_seed + seeds), threads):
         if report["skipped"]:
             skipped += 1
             continue
-        results.append(report.pop("result"))
+        diagnostics.append(report["diagnostics"])
         intensity_err = max(intensity_err, report["intensity_max_rel_error"])
         tv_err = max(tv_err, report["cardinality_total_variation"])
         moment_err = max(moment_err, report["first_moment_gap"])
@@ -239,7 +241,7 @@ def run_oracle_suite(seeds: int = 100, threads: int = 1, base_seed: int = 4400) 
         _check("intensity_max_rel_error", intensity_err, 1e-9),
         _check("cardinality_max_total_variation", tv_err, 1e-10),
     ]
-    checks.extend(_normalization_checks(results))
+    checks.extend(_normalization_checks(diagnostics))
     return {
         "suite": "oracle",
         "scenarios": seeds,
@@ -254,18 +256,11 @@ def run_cardinality_routes_suite(seeds: int = 25, threads: int = 1, base_seed: i
     """Closed form against the series route: gated on poisson priors, where
     the two are provably equal; reported without a gate elsewhere, which
     documents the dropped chain-rule terms in the closed form."""
-    poisson_dev = 0.0
-    general_dev = 0.0
-    for index in range(seeds):
-        scenario = _with_threads(poisson_scenario(base_seed + index), threads)
-        result = corrector_step(scenario.prior_intensity, scenario.prior_card,
-                                scenario.measurements, scenario.model, scenario.options)
-        poisson_dev = max(poisson_dev, result.diagnostics["route_max_deviation"])
-    for index in range(seeds):
-        scenario = _with_threads(micro_scenario(base_seed + 7000 + index), threads)
-        result = corrector_step(scenario.prior_intensity, scenario.prior_card,
-                                scenario.measurements, scenario.model, scenario.options)
-        general_dev = max(general_dev, result.diagnostics["route_max_deviation"])
+    poisson_dev, general_dev = (
+        max([0.0] + [d["route_max_deviation"] for d in _map_cases(
+            _diagnostics, make, range(first, first + seeds), threads)])
+        for make, first in ((poisson_scenario, base_seed), (micro_scenario, base_seed + 7000))
+    )
     checks = [
         _check("poisson_routes_max_deviation", poisson_dev, 1e-10),
         _check("general_routes_max_deviation_reported", general_dev, passed=True),

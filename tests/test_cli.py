@@ -48,6 +48,8 @@ def test_update_with_measurements_file(scenarios_dir, tmp_path, capsys):
 def test_usage_error_exit_code():
     assert main(["--no-such-flag"]) == 2
     assert main(["update"]) == 2      # missing --config
+    # --threads belongs to verify alone.
+    assert main(["update", "--config", "x.json", "--threads", "2"]) == 2
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -25,7 +25,7 @@ from etcphd.errors import (
     ValidationError,
 )
 from etcphd.oracle import compare_to_corrector, exact_posterior
-from etcphd.partitions import Partition
+from etcphd.partitions import Partition, subpartitions_of
 from etcphd.pgf import CardinalityPgf
 from etcphd.statespace import (
     ContinuousKernel,
@@ -36,7 +36,13 @@ from etcphd.statespace import (
     StateGrid,
     normalize_intensity,
 )
-from etcphd.synthetic import micro_scenario, mixed_scenario, poisson_scenario, standard_scenario
+from etcphd.synthetic import (
+    micro_scenario,
+    mixed_scenario,
+    performance_scenario,
+    poisson_scenario,
+    standard_scenario,
+)
 
 
 def build_scenario(weights, prior_values, prior_card, p_d, clutter_card, meas_cards,
@@ -107,7 +113,7 @@ def test_cell_mass_closed_form_single_point():
     assert cell_detection_mass((0,), density, measurements, model) == pytest.approx(expected, rel=1e-15)
 
 
-# -- alpha, beta, omega, kappa --------------------------------------------------
+# -- beta, omega, kappa --------------------------------------------------------
 
 
 def test_subpartition_product_examples():
@@ -115,17 +121,6 @@ def test_subpartition_product_examples():
     assert subpartition_product(Partition(((0, 1),)), eta) == 0.0
     assert subpartition_product(Partition(((0,), (1,))), eta) == pytest.approx(0.15, abs=0.0)
     assert subpartition_product(Partition(((1,),)), eta) == 0.5
-
-
-def test_alpha_of_trivial_subpartition_equals_eta():
-    for seed in (0, 4, 9):
-        scenario = mixed_scenario(seed, 3)
-        table = coefficient_table(
-            scenario.prior_intensity, scenario.prior_card,
-            scenario.measurements, scenario.model, scenario.options,
-        )
-        for cell, eta in table.eta.items():
-            assert table.alpha[Partition((cell,))] == eta
 
 
 def test_beta_no_detection_reduces_to_clutter_term():
@@ -182,6 +177,46 @@ def test_beta_matches_free_function():
         again = cell_coefficient(cell, table.eta, table.zeta_clutter,
                                  table.zeta_prior, cache=cache)
         assert again == pytest.approx(beta, rel=1e-15)
+
+
+TABLE_SCENARIOS = [pytest.param(performance_scenario(8), id="performance-8")] + [
+    pytest.param(make(seed, n), id=f"{make.__name__}-{seed}-{n}")
+    for make in (poisson_scenario, standard_scenario, mixed_scenario)
+    for seed, n in [(seed, 5) for seed in range(8)] + [(seed, 8) for seed in range(2)]
+]
+
+
+@pytest.mark.parametrize("scenario", TABLE_SCENARIOS)
+def test_coefficient_table_matches_enumeration(scenario):
+    """beta, omega and kappa from the partition-sum kernel against the
+    enumerating reference functions.  beta and kappa are signed sums, so
+    their error is taken relative to the sum of their terms' magnitudes."""
+    table = coefficient_table(
+        scenario.prior_intensity, scenario.prior_card,
+        scenario.measurements, scenario.model, scenario.options,
+    )
+    cache = {}
+    beta_scale, kappa_inner = {}, {}
+    for cell in table.beta:
+        alphas = [(len(sub), abs(subpartition_product(sub, table.eta)))
+                  for sub in subpartitions_of(cell, cache=cache)]
+        beta_scale[cell] = abs(table.zeta_clutter[len(cell)]) + math.fsum(
+            a * abs(table.zeta_prior[q]) for q, a in alphas)
+        kappa_inner[cell] = math.fsum(a * abs(table.zeta_prior[q + 1]) for q, a in alphas)
+    for cell, beta in table.beta.items():
+        again = cell_coefficient(cell, table.eta, table.zeta_clutter, table.zeta_prior,
+                                 cache=cache)
+        assert abs(again - beta) <= 1e-12 * beta_scale[cell]
+    omega = partition_weights(range(len(scenario.measurements)), table.beta)
+    for partition, weight in omega.items():
+        assert table.omega[partition] == pytest.approx(weight, rel=1e-12, abs=0.0)
+    kappa = missed_detection_correction(table.omega, table.beta, table.eta,
+                                        table.zeta_prior, cache=cache)
+    kappa_scale = math.fsum(
+        abs(weight) * math.fsum(kappa_inner[cell] / abs(table.beta[cell]) for cell in partition)
+        for partition, weight in table.omega.items() if weight != 0.0
+    )
+    assert abs(kappa - table.kappa) <= 1e-12 * kappa_scale
 
 
 def test_omega_single_measurement():
@@ -378,6 +413,46 @@ def test_route_deviation_reported_for_general_priors():
     assert max(deviations) > 1e-6
 
 
+def test_corrector_matches_oracle_at_four_measurements():
+    worst_intensity = worst_tv = 0.0
+    for seed in range(40):
+        scenario = micro_scenario(4400 + seed, n_measurements=4)
+        result = corrector_step(scenario.prior_intensity, scenario.prior_card,
+                                scenario.measurements, scenario.model, scenario.options)
+        _, density = normalize_intensity(scenario.prior_intensity)
+        oracle = exact_posterior(scenario.prior_card, density, scenario.measurements,
+                                 scenario.model, n_max=scenario.prior_card.support_max)
+        report = compare_to_corrector(oracle, result)
+        assert report["pass"], report
+        worst_intensity = max(worst_intensity, report["intensity_max_rel_error"])
+        worst_tv = max(worst_tv, report["cardinality_total_variation"])
+    assert worst_intensity <= 1e-9
+    assert worst_tv <= 1e-10
+
+
+def test_micro_scenario_measurement_count_leaves_the_draws_alone():
+    default = micro_scenario(4401)
+    forced = micro_scenario(4401, n_measurements=4)
+    assert len(forced.measurements) == 4
+    assert np.array_equal(forced.model.detection_prob, default.model.detection_prob)
+    assert forced.prior_card == default.prior_card
+
+
+@pytest.mark.parametrize("rate", [12.0, 20.0, 40.0])
+def test_truncated_poisson_cardinality_warns(rate):
+    """Large poisson priors lose cardinality mass once the truncation order
+    hits the support maximum; the step says so instead of staying silent."""
+    scenario = poisson_scenario(3, 4)
+    values = scenario.prior_intensity.values * rate / scenario.prior_intensity.total_mass()
+    result = corrector_step(Intensity.create(scenario.grid, values),
+                            CardinalityPgf.poisson(rate), scenario.measurements,
+                            scenario.model, scenario.options)
+    assert abs(result.diagnostics["cardinality_sum"] - 1.0) > 1e-10
+    warnings = result.diagnostics["warnings"]
+    assert any("posterior cardinality sums to" in w for w in warnings)
+    assert any("differs from the intensity mass" in w for w in warnings)
+
+
 def test_series_route_requires_prior_mass_at_zero():
     intensity, _, measurements, model = coherent_two_point()
     card = CardinalityPgf.finite([0.0, 0.5, 0.5])
@@ -454,16 +529,3 @@ def test_continuous_kernel_mode():
                - result.diagnostics["posterior_mean_from_cardinality"]) <= 1e-9
 
 
-def test_thread_count_does_not_change_bits():
-    scenario = mixed_scenario(77, 4)
-    results = []
-    for threads in (1, 4):
-        options = dataclasses.replace(scenario.options, threads=threads)
-        results.append(
-            corrector_step(scenario.prior_intensity, scenario.prior_card,
-                           scenario.measurements, scenario.model, options)
-        )
-    a, b = results
-    assert np.array_equal(a.intensity, b.intensity)
-    assert np.array_equal(a.cardinality, b.cardinality)
-    assert a.coefficients.omega == b.coefficients.omega

@@ -76,6 +76,11 @@ def test_unknown_option_rejected():
     with pytest.raises(ValidationError) as excinfo:
         scenario_from_dict(doc)
     assert any("options.max_zz" in v for v in excinfo.value.violations)
+    # The corrector has no thread count any more.
+    doc["options"] = {"threads": 2}
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(doc)
+    assert "options.threads: unknown option" in excinfo.value.violations
 
 
 def test_measurement_index_bounds_checked():

@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from etcphd.pgf import CardinalityPgf
-from etcphd.scenario import load_scenario, step_result_to_dict, dump_json
+from etcphd.scenario import BirthSpec, SimulationSpec, load_scenario, step_result_to_dict, dump_json
 from etcphd.simulate import make_rng, predict_step, sample_iid_cluster, simulate
+from etcphd.statespace import Intensity, MeasurementSet
+from etcphd.synthetic import performance_scenario
 
 
 def test_sample_empty_cardinality():
@@ -113,3 +115,25 @@ def test_simulate_different_seed_differs(scenarios_dir):
         scenario = load_scenario(scenario_path)
         runs.append(simulate(scenario, n_steps=5, seed=seed).measurements)
     assert runs[0] != runs[1]
+
+
+def test_ill_conditioned_prediction_warns():
+    """At survival 0.95 the predicted cardinality's log-derivatives at zero
+    lose digits, and the second step's series route misses normalization:
+    the step must warn rather than stay silent."""
+    scenario = performance_scenario(5, seed=0)
+    mass = scenario.prior_intensity.total_mass()
+    scenario.prior_intensity = Intensity.create(
+        scenario.grid, scenario.prior_intensity.values * 4.0 / mass)
+    scenario.prior_card = CardinalityPgf.poisson(4.0)
+    scenario.simulation = SimulationSpec(
+        truth=[], survival=0.95,
+        birth=BirthSpec(intensity=scenario.prior_intensity.values / 4.0,
+                        cardinality=CardinalityPgf.poisson(1.0)),
+    )
+    scenario.steps = [MeasurementSet.of([0, 3, 5]), MeasurementSet.of([1, 1, 4, 2, 0, 5])]
+    run = simulate(scenario, n_steps=2, seed=0)
+    first, second = (step.result.diagnostics for step in run.steps)
+    assert first["warnings"] == []
+    assert abs(second["cardinality_sum"] - 1.0) > 1e-10
+    assert any("posterior cardinality sums to" in w for w in second["warnings"])
