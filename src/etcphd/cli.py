@@ -64,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seeds", type=int, help="scenario count per randomized suite")
     verify.add_argument("--out", help="write the report JSON here")
     verify.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the per-seed cases (default 1)")
+                        help="accepted for compatibility; suites run their cases "
+                             "in one process")
     _common_options(verify)
 
     inspect = sub.add_parser("inspect", help="print partition weights and coefficients")

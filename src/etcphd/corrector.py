@@ -66,6 +66,14 @@ DENOMINATOR_FLOOR = 1e-300
 # Normalization a posterior cardinality must meet, else the step warns.
 CARDINALITY_SUM_TOL = 1e-10
 FIRST_MOMENT_TOL = 1e-9
+NORMALIZATION_KEYS = ("omega_sum", "cardinality_sum", "posterior_mass",
+                      "posterior_mean_from_cardinality")
+
+
+def normalization_record(diagnostics: Mapping) -> dict:
+    """The step diagnostics the normalization checks read: deterministic in
+    the step's inputs (no wall time, no warnings)."""
+    return {key: diagnostics[key] for key in NORMALIZATION_KEYS}
 
 
 @dataclass(frozen=True)
@@ -505,10 +513,11 @@ def corrector_step(prior_intensity: Intensity, prior_card: CardinalityPgf,
     mean_from_card = float(np.dot(np.arange(cardinality.size), cardinality))
     card_sum = math.fsum(cardinality.tolist())
     if abs(card_sum - 1.0) > CARDINALITY_SUM_TOL:
-        warnings.append(f"posterior cardinality sums to {card_sum!r}, not 1 within 1e-10")
+        warnings.append(f"posterior cardinality sums to {card_sum!r}, "
+                        f"not 1 within {CARDINALITY_SUM_TOL:g}")
     if abs(mass - mean_from_card) > FIRST_MOMENT_TOL:
         warnings.append(f"posterior cardinality mean {mean_from_card!r} differs from the "
-                        f"intensity mass {mass!r} by more than 1e-09")
+                        f"intensity mass {mass!r} by more than {FIRST_MOMENT_TOL:g}")
     diagnostics = {
         "omega_sum": math.fsum(ws.omega.values()),
         "cardinality_sum": card_sum,

@@ -207,10 +207,10 @@ def check_poisson_reduction(scenario, tolerance: float = 1e-12,
     """Compare the corrector with the ET-PHD reference on a poisson scenario.
 
     Reports max intensity deviation, |kappa|, and the gap between partition
-    weights computed from beta and from d, plus the step's diagnostics;
-    passes iff all stay within tolerance.
+    weights computed from beta and from d, plus the step's normalization
+    record; passes iff all stay within tolerance.
     """
-    from .corrector import corrector_step
+    from .corrector import corrector_step, normalization_record
 
     _require_poisson(scenario.model, scenario.prior_card)
     result = corrector_step(
@@ -235,7 +235,7 @@ def check_poisson_reduction(scenario, tolerance: float = 1e-12,
         "tolerance": tolerance,
         "kappa_tolerance": kappa_tolerance,
         "pass": bool(passed),
-        "diagnostics": result.diagnostics,
+        "normalization": normalization_record(result.diagnostics),
     }
 
 
@@ -244,9 +244,9 @@ def check_standard_reduction(scenario, tolerance: float = 1e-12) -> dict:
 
     Also asserts the structural collapses: detected-cell masses vanish for
     cells of two or more measurements, and only all-singleton sub-partitions
-    contribute.  The report carries the step's diagnostics.
+    contribute.  The report carries the step's normalization record.
     """
-    from .corrector import corrector_step, subpartition_product
+    from .corrector import corrector_step, normalization_record, subpartition_product
 
     result = corrector_step(
         scenario.prior_intensity, scenario.prior_card,
@@ -287,7 +287,7 @@ def check_standard_reduction(scenario, tolerance: float = 1e-12) -> dict:
         "alpha_nonsingleton_max": alpha_violation,
         "tolerance": tolerance,
         "pass": bool(passed),
-        "diagnostics": result.diagnostics,
+        "normalization": normalization_record(result.diagnostics),
     }
 
 

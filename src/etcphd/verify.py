@@ -3,19 +3,15 @@
 Each suite returns a JSON-ready report dict with one entry per check; report
 contents are deterministic functions of the seeds, so report files can be
 compared byte for byte across runs.  Wall-clock timing is printed by the
-CLI, never stored in reports.  With `threads` above one a suite runs its
-independent per-seed cases on a pool of worker processes; each case returns
-a small record and the suite reduces the records in seed order, so the
-report does not depend on the pool.
+CLI, never stored in reports.  Suites run their per-seed cases in one
+process, in seed order; the `threads` argument is accepted and does not
+change what runs.
 """
 
 from __future__ import annotations
 
-import functools
-import multiprocessing
-import os
-
-from .corrector import CARDINALITY_SUM_TOL, FIRST_MOMENT_TOL, coefficient_table, corrector_step
+from .corrector import (CARDINALITY_SUM_TOL, FIRST_MOMENT_TOL, coefficient_table,
+                        corrector_step, normalization_record)
 from .oracle import compare_to_corrector, exact_posterior
 from .partitions import bell_number, is_partition_of, partitions_of, subpartitions_of
 from .reductions import check_poisson_reduction, check_standard_reduction
@@ -34,29 +30,18 @@ def _check(name, value, tolerance=None, passed=None):
     return entry
 
 
-def _map_cases(check, make, seeds, threads: int) -> list:
-    """check(make(seed)) per seed, in seed order, with the checks on at most
-    `threads` worker processes (never more than there are cores)."""
-    scenarios = [make(seed) for seed in seeds]
-    workers = min(threads, os.cpu_count() or 1, len(scenarios))
-    if workers <= 1:
-        return [check(scenario) for scenario in scenarios]
-    with multiprocessing.get_context("spawn").Pool(workers) as pool:
-        return pool.map(check, scenarios)
+def _route_deviation(scenario) -> float:
+    return corrector_step(scenario.prior_intensity, scenario.prior_card, scenario.measurements,
+                          scenario.model, scenario.options).diagnostics["route_max_deviation"]
 
 
-def _diagnostics(scenario) -> dict:
-    return corrector_step(scenario.prior_intensity, scenario.prior_card,
-                          scenario.measurements, scenario.model, scenario.options).diagnostics
-
-
-def _normalization_checks(diagnostics):
+def _normalization_checks(records):
     """Criterion-level consistency of every update: partition weights sum to
     one, the cardinality sums to one, and both posterior first moments agree."""
-    omega_err = max(abs(d["omega_sum"] - 1.0) for d in diagnostics)
-    card_err = max(abs(d["cardinality_sum"] - 1.0) for d in diagnostics)
+    omega_err = max(abs(d["omega_sum"] - 1.0) for d in records)
+    card_err = max(abs(d["cardinality_sum"] - 1.0) for d in records)
     moment_err = max(
-        abs(d["posterior_mass"] - d["posterior_mean_from_cardinality"]) for d in diagnostics
+        abs(d["posterior_mass"] - d["posterior_mean_from_cardinality"]) for d in records
     )
     return [
         _check("omega_sum_max_error", omega_err, 1e-12),
@@ -139,9 +124,8 @@ def run_identities_suite(seeds: int = 25, threads: int = 1, base_seed: int = 510
     """Explicit one- and two-measurement derivative expansions against the
     partition formula's products of cell coefficients."""
     worst = {
-        m: max([0.0] + _map_cases(
-            _identity_deviation, functools.partial(mixed_scenario, n_measurements=m),
-            [base_seed + 101 * index + m for index in range(seeds)], threads))
+        m: max([0.0] + [_identity_deviation(mixed_scenario(base_seed + 101 * index + m, m))
+                        for index in range(seeds)])
         for m in (1, 2)
     }
     checks = [
@@ -157,8 +141,8 @@ def run_identities_suite(seeds: int = 25, threads: int = 1, base_seed: int = 510
 
 
 def run_poisson_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: int = 2200) -> dict:
-    reports = _map_cases(check_poisson_reduction, poisson_scenario,
-                         range(base_seed, base_seed + seeds), threads)
+    reports = [check_poisson_reduction(poisson_scenario(seed))
+               for seed in range(base_seed, base_seed + seeds)]
     checks = [
         _check("intensity_max_rel_deviation",
                max(r["intensity_max_rel_deviation"] for r in reports), 1e-12),
@@ -166,7 +150,7 @@ def run_poisson_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: in
         _check("omega_max_deviation",
                max(r["omega_max_deviation"] for r in reports), 1e-12),
     ]
-    checks.extend(_normalization_checks([r["diagnostics"] for r in reports]))
+    checks.extend(_normalization_checks([r["normalization"] for r in reports]))
     return {
         "suite": "poisson-reduction",
         "scenarios": seeds,
@@ -176,8 +160,8 @@ def run_poisson_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: in
 
 
 def run_standard_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: int = 3300) -> dict:
-    reports = _map_cases(check_standard_reduction, standard_scenario,
-                         range(base_seed, base_seed + seeds), threads)
+    reports = [check_standard_reduction(standard_scenario(seed))
+               for seed in range(base_seed, base_seed + seeds)]
     checks = [
         _check("intensity_max_rel_deviation",
                max(r["intensity_max_rel_deviation"] for r in reports), 1e-12),
@@ -190,7 +174,7 @@ def run_standard_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: i
                max(r["alpha_nonsingleton_max"] for r in reports),
                passed=all(r["alpha_nonsingleton_max"] == 0.0 for r in reports)),
     ]
-    checks.extend(_normalization_checks([r["diagnostics"] for r in reports]))
+    checks.extend(_normalization_checks([r["normalization"] for r in reports]))
     return {
         "suite": "standard-reduction",
         "scenarios": seeds,
@@ -218,22 +202,22 @@ def oracle_comparison(scenario) -> dict:
     )
     report = compare_to_corrector(reference, result)
     report["skipped"] = False
-    report["diagnostics"] = result.diagnostics
+    report["normalization"] = normalization_record(result.diagnostics)
     return report
 
 
 def run_oracle_suite(seeds: int = 100, threads: int = 1, base_seed: int = 4400) -> dict:
-    diagnostics = []
+    records = []
     intensity_err = 0.0
     tv_err = 0.0
     moment_err = 0.0
     skipped = 0
-    for report in _map_cases(oracle_comparison, micro_scenario,
-                             range(base_seed, base_seed + seeds), threads):
+    for seed in range(base_seed, base_seed + seeds):
+        report = oracle_comparison(micro_scenario(seed))
         if report["skipped"]:
             skipped += 1
             continue
-        diagnostics.append(report["diagnostics"])
+        records.append(report["normalization"])
         intensity_err = max(intensity_err, report["intensity_max_rel_error"])
         tv_err = max(tv_err, report["cardinality_total_variation"])
         moment_err = max(moment_err, report["first_moment_gap"])
@@ -241,7 +225,7 @@ def run_oracle_suite(seeds: int = 100, threads: int = 1, base_seed: int = 4400) 
         _check("intensity_max_rel_error", intensity_err, 1e-9),
         _check("cardinality_max_total_variation", tv_err, 1e-10),
     ]
-    checks.extend(_normalization_checks(diagnostics))
+    checks.extend(_normalization_checks(records))
     return {
         "suite": "oracle",
         "scenarios": seeds,
@@ -257,8 +241,7 @@ def run_cardinality_routes_suite(seeds: int = 25, threads: int = 1, base_seed: i
     the two are provably equal; reported without a gate elsewhere, which
     documents the dropped chain-rule terms in the closed form."""
     poisson_dev, general_dev = (
-        max([0.0] + [d["route_max_deviation"] for d in _map_cases(
-            _diagnostics, make, range(first, first + seeds), threads)])
+        max([0.0] + [_route_deviation(make(seed)) for seed in range(first, first + seeds)])
         for make, first in ((poisson_scenario, base_seed), (micro_scenario, base_seed + 7000))
     )
     checks = [

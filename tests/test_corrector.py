@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from etcphd.corrector import (
+    CARDINALITY_SUM_TOL,
+    FIRST_MOMENT_TOL,
     CorrectorOptions,
     cell_coefficient,
     cell_detection_mass,
@@ -449,8 +451,10 @@ def test_truncated_poisson_cardinality_warns(rate):
                             scenario.model, scenario.options)
     assert abs(result.diagnostics["cardinality_sum"] - 1.0) > 1e-10
     warnings = result.diagnostics["warnings"]
-    assert any("posterior cardinality sums to" in w for w in warnings)
-    assert any("differs from the intensity mass" in w for w in warnings)
+    assert any("posterior cardinality sums to" in w
+               and f"within {CARDINALITY_SUM_TOL:g}" in w for w in warnings)
+    assert any("differs from the intensity mass" in w
+               and f"more than {FIRST_MOMENT_TOL:g}" in w for w in warnings)
 
 
 def test_series_route_requires_prior_mass_at_zero():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from etcphd.corrector import corrector_step
+from etcphd.corrector import NORMALIZATION_KEYS, corrector_step
 from etcphd.errors import ModelMismatchError
 from etcphd.oracle import compare_to_corrector, exact_posterior
 from etcphd.pgf import CardinalityPgf
@@ -191,6 +191,17 @@ def test_poisson_reduction_report_passes():
     report = check_poisson_reduction(scenario)
     assert report["pass"]
     assert report["kappa_abs"] == 0.0
+
+
+@pytest.mark.parametrize("check, make, seed", [
+    (check_poisson_reduction, poisson_scenario, 1236),
+    (check_standard_reduction, standard_scenario, 4322),
+])
+def test_reduction_report_is_deterministic(check, make, seed):
+    """Reports carry the normalization fields only, never wall time."""
+    first = check(make(seed))
+    assert set(first["normalization"]) == set(NORMALIZATION_KEYS)
+    assert first == check(make(seed))
 
 
 def test_poisson_reduction_rejects_perturbed_prior():
