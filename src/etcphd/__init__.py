@@ -36,14 +36,13 @@ from .errors import (
     ModelMismatchError,
     ModelViolationError,
     NumericalOverflowError,
-    OrderLimitError,
     SingularEvaluationError,
     SizeLimitError,
     ValidationError,
 )
 from .oracle import compare_to_corrector, exact_posterior, multi_target_likelihood, tuple_prior
 from .partitions import Partition, bell_number, is_partition_of, partitions_of, subpartitions_of
-from .pgf import CardinalityPgf, Jet, pgf_product_series
+from .pgf import CardinalityPgf, Jet
 from .reductions import (
     check_poisson_reduction,
     check_standard_reduction,

@@ -11,18 +11,23 @@ routes.  The table is built from four layers:
   omega[P]   normalized products of beta over the cells of each partition
 
 Every partition sum except omega's runs through `partitions.partition_sums`
-in a ring of its own: cell-counting polynomials for the sub-partition sums in
-beta, floats for kappa and the intensity coefficients, derivative series for
-the series route, plain sequences for the closed form.  Omega, which result
-files carry in full, is enumerated; so are the reference functions below.
+in a ring of its own: cell-counting polynomials for the sub-partition sums
+(size_sums[S][j] sums the eta products over the partitions of S into j
+cells), floats for kappa and the intensity coefficients, plain sequences for
+the closed form.  Omega, which result files carry in full, is enumerated; so
+are the reference functions below.
 
 The intensity update follows the summary formula with the correction
 constant kappa; the cardinality comes from differentiating the posterior
-p.g.f. at zero.  The authoritative route builds the truncated derivative
-series of the p.g.f. numerator directly (series products need no lemma);
-the closed-form route implements the published expression verbatim and is
-reported alongside with its deviation, because its cell-derivative step
-drops chain-rule terms for non-poisson priors.
+p.g.f. at zero.  The authoritative series route needs no log-derivatives:
+with raw clutter derivatives c_k = C^(k)(0), the weights
+upsilon_j = sum over subsets S of Z of c_|S| size_sums[Z - S][j] are sums of
+non-negative terms, and P(n) is proportional to
+p_n sum_j n!/(n-j)! phi^(n-j) upsilon_j (the Faa di Bruno form of the
+standard CPHD).  The closed-form route
+implements the published expression verbatim and is reported alongside with
+its deviation, because its cell-derivative step drops chain-rule terms for
+non-poisson priors.
 """
 
 from __future__ import annotations
@@ -43,13 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .partitions import Cell, Partition, partition_sums, partitions_of, subpartitions_of
-from .pgf import (
-    DEFAULT_MAX_ORDER,
-    MAX_SUPPORT,
-    CardinalityPgf,
-    Jet,
-    poisson_truncation_order,
-)
+from .pgf import MAX_SUPPORT, CardinalityPgf, Jet, poisson_truncation_order
 from .statespace import (
     Intensity,
     MeasurementSet,
@@ -89,7 +88,6 @@ class CorrectorOptions:
     max_measurements: int = 8
     acknowledge_cost: bool = False
     cardinality_order: int | None = None
-    max_derivative_order: int = DEFAULT_MAX_ORDER
 
     def effective_cap(self) -> int:
         if self.max_measurements > 8 and not self.acknowledge_cost:
@@ -243,10 +241,6 @@ def _poly_total(polys) -> np.ndarray:
     return np.array([math.fsum(column) for column in np.array(polys).T.tolist()])
 
 
-def _jet_total(jets) -> Jet:
-    return Jet(tuple(math.fsum(column) for column in zip(*(jet.coeffs for jet in jets))))
-
-
 class _Workspace:
     """Everything one corrector step shares between its operations.
 
@@ -270,11 +264,10 @@ class _Workspace:
         self.ratios = ratio_matrix(measurements, model)
         self.gz_der = model.meas_derivatives_at_zero(m)
 
-        max_order = options.max_derivative_order
-        zeta_prior = prior_card.log_derivatives_at(self.phi, m + 1, max_order=max_order)
+        zeta_prior = prior_card.log_derivatives_at(self.phi, m + 1)
         self.zeta_prior = tuple(zeta_prior)
         if m > 0:
-            zeta_clutter = model.clutter_card.log_derivatives_at(0.0, m, max_order=max_order)
+            zeta_clutter = model.clutter_card.log_derivatives_at(0.0, m)
         else:
             zeta_clutter = [0.0]
         self.zeta_clutter = tuple(zeta_clutter)
@@ -389,51 +382,39 @@ class _Workspace:
             )
         return int(n_max)
 
-    def _zeta_prior_at_zero(self, order: int):
-        return self.prior_card.log_derivatives_at(
-            0.0, order, max_order=self.options.max_derivative_order
-        )
-
     def cardinality_series(self) -> np.ndarray:
         """Authoritative route: derivative series of the posterior p.g.f. at 0.
 
-        The numerator is G_prior(x*phi) times the partition-sum polynomial
-        whose cells contribute zeta_clutter constants plus monomials times
-        log-derivative series of the prior composed with x*phi; the linear
-        inner map makes every composed derivative an explicit power of phi.
+        The clutter takes a subset S of Z and the targets partition the rest
+        into j cells, so the p.g.f. numerator is sum_j upsilon_j x^j G^(j)(x phi)
+        with upsilon_j = sum_S C^(|S|)(0) size_sums[Z - S][j].  The i-th
+        derivative of G^(j)(x phi) at 0 is phi^i (i+j)! p_{i+j}, so every term
+        is non-negative and no prior order is capped.  Dividing by the
+        numerator at x = 1, N = sum_j G^(j)(phi) upsilon_j, keeps any mass a
+        truncated poisson prior loses visible.
         """
         m = len(self.measurements)
         order = self.posterior_order()
-        # Log-derivatives at the origin only enter through measurement cells.
-        zeta0 = self._zeta_prior_at_zero(m + order) if m > 0 else None
-        phi_powers = [self.phi**j for j in range(order + 1)]
+        clutter = self.model.clutter_card.derivatives_at(0.0, m)
+        upsilon = _poly_total([clutter[m - len(self.cell_of[rest])] * np.array(self.size_sums[rest])
+                               for rest in range(self.full + 1)]).tolist()
+        normalizer = math.fsum(
+            g * u for g, u in zip(self.prior_card.derivatives_at(self.phi, m), upsilon))
+        if normalizer <= DENOMINATOR_FLOOR:
+            raise DegenerateUpdateError(
+                "posterior p.g.f. numerator vanishes at one; "
+                "the measurement set is impossible under the model"
+            )
 
-        prior_der0 = self.prior_card.derivatives_at(
-            0.0, order, max_order=self.options.max_derivative_order
-        )
-        outer = Jet(tuple(phi_powers[j] * prior_der0[j] for j in range(order + 1)))
-
-        monomial_series = {}
-        for q in range(1, m + 1):
-            zeta_jet = Jet(tuple(phi_powers[j] * zeta0[q + j] for j in range(order + 1)))
-            monomial_series[q] = Jet.monomial(q, order) * zeta_jet
-
-        cell_jets = [Jet.constant(1.0, order)] + [None] * self.full
-        for mask in self.cells:
-            sums, size = self.size_sums[mask], len(self.cell_of[mask])
-            jet = Jet.constant(self.zeta_clutter[size], order)
-            for q in range(1, size + 1):
-                if sums[q] != 0.0:
-                    jet = jet + monomial_series[q].scale(sums[q])
-            cell_jets[mask] = jet
-
-        summed = partition_sums(cell_jets, operator.mul, _jet_total)[self.full]
-        scale = 1.0 / (self.prior_card.eval(self.phi) * self.normalizer)
-        posterior = (outer * summed).scale(scale)
-        probs = np.array(
-            [posterior.coeffs[n] / math.factorial(n) for n in range(order + 1)]
-        )
-        return probs
+        prob = self.prior_card.prob
+        phi_powers = [self.phi**i for i in range(order + 1)]
+        numerator = Jet.constant(0.0, order)
+        for j in range(m + 1):
+            shifted = Jet(tuple(phi_powers[i] * math.factorial(i + j) * prob(i + j)
+                                for i in range(order + 1)))
+            numerator = numerator + (Jet.monomial(j, order) * shifted).scale(upsilon[j])
+        return np.array([numerator.coeffs[n] / math.factorial(n) / normalizer
+                         for n in range(order + 1)])
 
     # -- cardinality, closed-form route -------------------------------------
 
@@ -447,7 +428,7 @@ class _Workspace:
         """
         m = len(self.measurements)
         order = self.posterior_order()
-        zeta0 = self._zeta_prior_at_zero(m) if m > 0 else None
+        zeta0 = self.prior_card.log_derivatives_at(0.0, m) if m > 0 else None
 
         sequences = [_poly(m, 1.0)] + [None] * self.full
         for mask in self.cells:

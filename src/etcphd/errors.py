@@ -9,10 +9,6 @@ class SizeLimitError(FilterError):
     """A combinatorial cap was exceeded (partition counts grow as Bell numbers)."""
 
 
-class OrderLimitError(FilterError):
-    """A derivative or series order exceeded the configured maximum."""
-
-
 class SingularEvaluationError(FilterError):
     """Log-derivative requested at a point where the p.g.f. is (numerically) zero."""
 

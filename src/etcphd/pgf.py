@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OrderLimitError, SingularEvaluationError
+from .errors import SingularEvaluationError
 
-DEFAULT_MAX_ORDER = 32
 MAX_SUPPORT = 31        # cardinality supports beyond n=31 are rejected
 SINGULAR_FLOOR = 1e-300
 
@@ -25,8 +24,8 @@ class Jet:
 
     `coeffs[i]` is the raw i-th derivative f^(i)(x0), not the Taylor
     coefficient f^(i)(x0)/i!.  Arithmetic is closed under addition,
-    multiplication, division and log up to the common order; mixing orders
-    is an error.
+    multiplication and log up to the common order; mixing orders is an
+    error.
     """
 
     coeffs: tuple[float, ...]
@@ -69,18 +68,6 @@ class Jet:
             out.append(math.fsum(math.comb(n, i) * a[i] * b[n - i] for i in range(n + 1)))
         return Jet(tuple(out))
 
-    def divide(self, other: "Jet") -> "Jet":
-        self._check(other)
-        b = other.coeffs
-        if abs(b[0]) < SINGULAR_FLOOR:
-            raise SingularEvaluationError("jet division by a series with zero value")
-        a = self.coeffs
-        q = [a[0] / b[0]]
-        for n in range(1, len(a)):
-            acc = a[n] - math.fsum(math.comb(n, i) * b[i] * q[n - i] for i in range(1, n + 1))
-            q.append(acc / b[0])
-        return Jet(tuple(q))
-
     def log(self) -> "Jet":
         """Derivative sequence of log f; requires f(x0) > 0."""
         f = self.coeffs
@@ -115,17 +102,6 @@ def poisson_truncation_order(rate: float, shift: int = 0) -> int:
         if 1.0 - cumulative < 1e-16:
             break
     return max(4, min(MAX_SUPPORT, order + shift + 2))
-
-
-def pgf_product_series(factors) -> Jet:
-    """Jet of a product of same-order jets; equals the multinomial expansion."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("pgf_product_series requires at least one factor")
-    result = factors[0]
-    for factor in factors[1:]:
-        result = result * factor
-    return result
 
 
 @dataclass(frozen=True)
@@ -192,10 +168,8 @@ class CardinalityPgf:
             acc = acc * x + p
         return acc
 
-    def derivatives_at(self, x0: float, k: int, max_order: int = DEFAULT_MAX_ORDER):
+    def derivatives_at(self, x0: float, k: int):
         """[G(x0), G'(x0), ..., G^(k)(x0)]; exact for finite support, closed form for poisson."""
-        if k > max_order:
-            raise OrderLimitError(f"derivative order {k} exceeds the maximum of {max_order}")
         if self.kind == "poisson":
             base = self.eval(x0)
             return [self.rate**j * base for j in range(k + 1)]
@@ -211,10 +185,10 @@ class CardinalityPgf:
             out.append(math.fsum(terms))
         return out
 
-    def jet_at(self, x0: float, order: int, max_order: int = DEFAULT_MAX_ORDER) -> Jet:
-        return Jet(tuple(self.derivatives_at(x0, order, max_order=max_order)))
+    def jet_at(self, x0: float, order: int) -> Jet:
+        return Jet(tuple(self.derivatives_at(x0, order)))
 
-    def log_derivative_at(self, x0: float, i: int, max_order: int = DEFAULT_MAX_ORDER) -> float:
+    def log_derivative_at(self, x0: float, i: int) -> float:
         """i-th derivative of log G at x0 (i >= 1), via jet log of the derivative sequence.
 
         Poisson is analytic: the first log-derivative is the rate, all higher
@@ -229,9 +203,9 @@ class CardinalityPgf:
             raise SingularEvaluationError(
                 f"p.g.f. value {value!r} at {x0!r} is too small for log-derivatives"
             )
-        return self.jet_at(x0, i, max_order=max_order).log().coeffs[i]
+        return self.jet_at(x0, i).log().coeffs[i]
 
-    def log_derivatives_at(self, x0: float, k: int, max_order: int = DEFAULT_MAX_ORDER):
+    def log_derivatives_at(self, x0: float, k: int):
         """[log G(x0), (log G)'(x0), ..., (log G)^(k)(x0)] in one pass."""
         if self.kind == "poisson":
             head = [self.rate * x0 - self.rate, self.rate]
@@ -241,4 +215,4 @@ class CardinalityPgf:
             raise SingularEvaluationError(
                 f"p.g.f. value {value!r} at {x0!r} is too small for log-derivatives"
             )
-        return list(self.jet_at(x0, k, max_order=max_order).log().coeffs)
+        return list(self.jet_at(x0, k).log().coeffs)

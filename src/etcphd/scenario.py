@@ -244,7 +244,6 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
             "max_z": ("max_measurements", int),
             "acknowledge_cost": ("acknowledge_cost", bool),
             "n_max": ("cardinality_order", int),
-            "max_derivative_order": ("max_derivative_order", int),
         }
         kwargs = {}
         for key, value in options_doc.items():

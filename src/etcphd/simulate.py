@@ -127,13 +127,6 @@ def simulate(scenario: Scenario, n_steps: int, seed: int) -> SimulationRun:
     intensity = scenario.prior_intensity
     card = scenario.prior_card
 
-    # Keep the propagated cardinality support small enough that the next
-    # correction's log-derivative orders (support + |Z|) stay under the cap.
-    support_budget = min(
-        MAX_SUPPORT,
-        scenario.options.max_derivative_order - scenario.options.max_measurements - 1,
-    )
-
     for step_index in range(n_steps):
         prediction_warnings: list[str] = []
         if step_index > 0:
@@ -141,9 +134,7 @@ def simulate(scenario: Scenario, n_steps: int, seed: int) -> SimulationRun:
             birth_intensity = sim.birth.intensity if sim is not None and sim.birth else None
             birth_card = sim.birth.cardinality if sim is not None and sim.birth else None
             values, card, prediction_warnings = predict_step(
-                intensity.values, card, survival, birth_intensity, birth_card,
-                n_max=support_budget,
-            )
+                intensity.values, card, survival, birth_intensity, birth_card)
             intensity = Intensity.create(scenario.grid, values)
 
         if sim is not None and sim.truth:

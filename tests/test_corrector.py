@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etcphd.corrector import (
     CARDINALITY_SUM_TOL,
@@ -28,7 +31,7 @@ from etcphd.errors import (
 )
 from etcphd.oracle import compare_to_corrector, exact_posterior
 from etcphd.partitions import Partition, subpartitions_of
-from etcphd.pgf import CardinalityPgf
+from etcphd.pgf import MAX_SUPPORT, CardinalityPgf
 from etcphd.statespace import (
     ContinuousKernel,
     DiscreteKernel,
@@ -457,11 +460,79 @@ def test_truncated_poisson_cardinality_warns(rate):
                and f"more than {FIRST_MOMENT_TOL:g}" in w for w in warnings)
 
 
-def test_series_route_requires_prior_mass_at_zero():
+def with_prior_mass_at_zero(scenario, p0):
+    """The scenario's prior with P(0) set to p0, the rest rescaled, and the
+    intensity rescaled to the new mean (the oracle needs them coherent)."""
+    probs = np.array(scenario.prior_card.probs)
+    probs[1:] *= (1.0 - p0) / probs[1:].sum()
+    probs[0] = p0
+    card = CardinalityPgf.finite(probs)
+    _, density = normalize_intensity(scenario.prior_intensity)
+    return Intensity.create(scenario.grid, card.mean() * density.values), card, density
+
+
+def series_oracle_report(scenario, intensity, card, density):
+    """Intensity and series-route cardinality against the exact posterior."""
+    args = (intensity, card, scenario.measurements, scenario.model, scenario.options)
+    corrector = SimpleNamespace(intensity=update_intensity(*args),
+                                cardinality=posterior_pgf_series(*args))
+    oracle = exact_posterior(card, density, scenario.measurements, scenario.model,
+                             n_max=card.support_max)
+    return compare_to_corrector(oracle, corrector)
+
+
+@pytest.mark.parametrize("p0", [0.0, 1e-12])
+def test_series_route_matches_oracle_at_small_prior_mass_at_zero(p0):
+    """The series route divides by no prior probability, so P(0) = 0 (at
+    least one target) and P(0) = 1e-12 agree with the oracle like any prior."""
+    for seed in range(30):
+        scenario = micro_scenario(seed, 3)
+        report = series_oracle_report(scenario, *with_prior_mass_at_zero(scenario, p0))
+        assert report["pass"], (seed, report)
+
+
+def test_closed_form_requires_prior_mass_at_zero():
+    """The closed form still takes log-derivatives of the prior at zero, so a
+    step with P(0) = 0 raises the structured error rather than returning."""
     intensity, _, measurements, model = coherent_two_point()
     card = CardinalityPgf.finite([0.0, 0.5, 0.5])
     with pytest.raises(SingularEvaluationError):
-        posterior_pgf_series(intensity, card, measurements, model)
+        posterior_cardinality_closed_form(intensity, card, measurements, model)
+    with pytest.raises(SingularEvaluationError):
+        corrector_step(intensity, card, measurements, model)
+
+
+def test_finite_prior_at_the_support_maximum():
+    """Support 31 with |Z| = 8: the series order is not capped, and the
+    step normalizes without warnings."""
+    scenario = performance_scenario(8)
+    raw = 0.05 + np.random.default_rng(31).uniform(0.0, 1.0, MAX_SUPPORT + 1)
+    card = CardinalityPgf.finite(raw / raw.sum())
+    _, density = normalize_intensity(scenario.prior_intensity)
+    intensity = Intensity.create(scenario.grid, card.mean() * density.values)
+    result = corrector_step(intensity, card, scenario.measurements, scenario.model,
+                            scenario.options)
+    diagnostics = result.diagnostics
+    assert result.cardinality.size == MAX_SUPPORT + 1
+    assert diagnostics["warnings"] == []
+    assert abs(diagnostics["cardinality_sum"] - 1.0) <= CARDINALITY_SUM_TOL
+    gap = diagnostics["posterior_mass"] - diagnostics["posterior_mean_from_cardinality"]
+    assert abs(gap) <= FIRST_MOMENT_TOL
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**31 - 1), p0=st.sampled_from([0.0, 1e-12, None]))
+def test_series_route_matches_oracle_property(seed, p0):
+    """Series route and intensity against the exact posterior on drawn micro
+    scenarios, with P(0) as drawn, 1e-12 or 0."""
+    scenario = micro_scenario(seed)
+    if p0 is None:
+        intensity, card = scenario.prior_intensity, scenario.prior_card
+        _, density = normalize_intensity(intensity)
+    else:
+        intensity, card, density = with_prior_mass_at_zero(scenario, p0)
+    report = series_oracle_report(scenario, intensity, card, density)
+    assert report["pass"], report
 
 
 # -- guards ---------------------------------------------------------------------

@@ -81,6 +81,11 @@ def test_unknown_option_rejected():
     with pytest.raises(ValidationError) as excinfo:
         scenario_from_dict(doc)
     assert "options.threads: unknown option" in excinfo.value.violations
+    # Nor a derivative-order cap.
+    doc["options"] = {"max_derivative_order": 40}
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(doc)
+    assert "options.max_derivative_order: unknown option" in excinfo.value.violations
 
 
 def test_measurement_index_bounds_checked():
