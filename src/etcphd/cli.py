@@ -63,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seeds", type=int, help="scenario count per randomized suite")
     verify.add_argument("--out", help="write the report JSON here")
-    verify.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; suites run their cases "
-                             "in one process")
     _common_options(verify)
 
     inspect = sub.add_parser("inspect", help="print partition weights and coefficients")
@@ -158,7 +155,7 @@ def _cmd_verify(args) -> int:
     if "all" in names:
         names = sorted(SUITES)
     start = time.perf_counter()
-    report = run_suites(names, seeds=args.seeds, threads=args.threads)
+    report = run_suites(names, seeds=args.seeds)
     elapsed = time.perf_counter() - start
     if args.out:
         dump_json(report, args.out)

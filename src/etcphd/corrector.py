@@ -13,9 +13,11 @@ routes.  The table is built from four layers:
 Every partition sum except omega's runs through `partitions.partition_sums`
 in a ring of its own: cell-counting polynomials for the sub-partition sums
 (size_sums[S][j] sums the eta products over the partitions of S into j
-cells), floats for kappa and the intensity coefficients, plain sequences for
-the closed form.  Omega, which result files carry in full, is enumerated; so
-are the reference functions below.
+cells), dual numbers beta_W + t k_W with t^2 = 0 for kappa and the intensity
+coefficients (their first-order part puts k on one cell of each partition
+and beta on the others), plain sequences for the closed form.  Omega, which
+result files carry in full, is enumerated; so are the reference functions
+below.
 
 The intensity update follows the summary formula with the correction
 constant kappa; the cardinality comes from differentiating the posterior
@@ -33,7 +35,6 @@ non-poisson priors.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -241,6 +242,15 @@ def _poly_total(polys) -> np.ndarray:
     return np.array([math.fsum(column) for column in np.array(polys).T.tolist()])
 
 
+def _dual_mul(a, b):
+    return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
+
+
+def _dual_total(duals):
+    values, slopes = zip(*duals)
+    return math.fsum(values), math.fsum(slopes)
+
+
 class _Workspace:
     """Everything one corrector step shares between its operations.
 
@@ -290,7 +300,7 @@ class _Workspace:
 
         self.beta: dict[Cell, float] = {}
         beta = [1.0] * (full + 1)
-        k_term = [self.zeta_prior[1]] * (full + 1)
+        k_term = [0.0] * (full + 1)
         for mask in self.cells:
             sums, size = self.size_sums[mask], len(self.cell_of[mask])
             beta[mask] = self.beta[self.cell_of[mask]] = math.fsum(
@@ -311,20 +321,15 @@ class _Workspace:
             )
         self.omega = {p: v / self.normalizer for p, v in zip(self.partitions, products)}
 
-        # Over the partitions that contain cell W the other cells' beta
-        # products sum to rest[full ^ W].  Detected sub-cell V of W then takes
-        # k_term[W - V]; the empty V collects kappa.
-        rest = partition_sums(beta, operator.mul, math.fsum, every_subset=True)
-        terms = [[] for _ in range(full + 1)]
-        for cell in self.cells:
-            sub = cell
-            while True:
-                terms[sub].append(rest[full ^ cell] * k_term[cell ^ sub])
-                if not sub:
-                    break
-                sub = (sub - 1) & cell
-        self.intensity_coeff = [math.fsum(t) / self.normalizer for t in terms]
-        self.kappa = self.intensity_coeff[0]
+        # With cell weights beta[W] + t k_term[W], t * t = 0, F[S] holds the
+        # beta partition sum of S and, second, the sum over non-empty U within
+        # S of k_term[U] times the beta partition sum of S - U.  Detected set V
+        # takes its coefficient from S = full - V; the empty V is kappa.
+        pairs = partition_sums(list(zip(beta, k_term)), _dual_mul, _dual_total, True)
+        self.kappa = pairs[full][1] / self.normalizer
+        self.intensity_coeff = [self.kappa] + [
+            (self.zeta_prior[1] * pairs[full ^ mask][0] + pairs[full ^ mask][1]) / self.normalizer
+            for mask in self.cells]
 
     @property
     def table(self) -> CoefficientTable:

@@ -196,14 +196,7 @@ class CardinalityPgf:
         """
         if i < 1:
             raise ValueError(f"log-derivative order must be >= 1, got {i}")
-        if self.kind == "poisson":
-            return self.rate if i == 1 else 0.0
-        value = self.eval(x0)
-        if value < SINGULAR_FLOOR:
-            raise SingularEvaluationError(
-                f"p.g.f. value {value!r} at {x0!r} is too small for log-derivatives"
-            )
-        return self.jet_at(x0, i).log().coeffs[i]
+        return self.log_derivatives_at(x0, i)[i]
 
     def log_derivatives_at(self, x0: float, k: int):
         """[log G(x0), (log G)'(x0), ..., (log G)^(k)(x0)] in one pass."""

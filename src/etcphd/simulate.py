@@ -59,13 +59,13 @@ def _binomial_thinning(probs: np.ndarray, survival: float) -> np.ndarray:
 
 def predict_step(posterior_intensity: np.ndarray, posterior_card: CardinalityPgf,
                  survival: float, birth_intensity: np.ndarray | None = None,
-                 birth_card: CardinalityPgf | None = None,
-                 n_max: int | None = None):
+                 birth_card: CardinalityPgf | None = None):
     """Survival thinning plus birth: D' = p_S D + D_b, cardinality thinned
     binomially and convolved with the birth cardinality.
 
-    Returns (intensity, cardinality, warnings); a truncation that loses more
-    than 1e-6 of probability mass is reported as a warning.
+    Returns (intensity, cardinality, warnings); the cardinality is cut at
+    MAX_SUPPORT, and a cut that loses more than 1e-6 of probability mass is
+    reported as a warning.
     """
     if not 0.0 <= survival <= 1.0:
         raise ValueError(f"survival probability must lie in [0, 1], got {survival!r}")
@@ -91,13 +91,12 @@ def predict_step(posterior_intensity: np.ndarray, posterior_card: CardinalityPgf
         birth_probs = np.array(birth_card.probs)
     combined = np.convolve(thinned, birth_probs)
 
-    limit = min(n_max if n_max is not None else MAX_SUPPORT, MAX_SUPPORT)
-    if combined.size > limit + 1:
-        lost = float(combined[limit + 1 :].sum())
-        combined = combined[: limit + 1]
+    if combined.size > MAX_SUPPORT + 1:
+        lost = float(combined[MAX_SUPPORT + 1 :].sum())
+        combined = combined[: MAX_SUPPORT + 1]
         if lost > 1e-6:
             warnings.append(
-                f"prediction truncation dropped {lost!r} probability mass at order {limit}"
+                f"prediction truncation dropped {lost!r} probability mass at order {MAX_SUPPORT}"
             )
     while combined.size > 1 and combined[-1] == 0.0:
         combined = combined[:-1]

@@ -4,8 +4,8 @@ Each suite returns a JSON-ready report dict with one entry per check; report
 contents are deterministic functions of the seeds, so report files can be
 compared byte for byte across runs.  Wall-clock timing is printed by the
 CLI, never stored in reports.  Suites run their per-seed cases in one
-process, in seed order; the `threads` argument is accepted and does not
-change what runs.
+process, in seed order; `seeds` sets how many cases a randomized suite runs
+and `base_seed` where its seeds start.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _normalization_checks(records):
     ]
 
 
-def run_combinatorics_suite(threads: int = 1, seeds: int = 0) -> dict:
+def run_combinatorics_suite() -> dict:
     checks = []
     counts = []
     for n in range(9):
@@ -120,7 +120,7 @@ def _identity_deviation(scenario) -> float:
     return abs(explicit - table.normalizer) / max(1.0, abs(table.normalizer))
 
 
-def run_identities_suite(seeds: int = 25, threads: int = 1, base_seed: int = 510) -> dict:
+def run_identities_suite(seeds: int = 25, base_seed: int = 510) -> dict:
     """Explicit one- and two-measurement derivative expansions against the
     partition formula's products of cell coefficients."""
     worst = {
@@ -140,7 +140,7 @@ def run_identities_suite(seeds: int = 25, threads: int = 1, base_seed: int = 510
     }
 
 
-def run_poisson_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: int = 2200) -> dict:
+def run_poisson_reduction_suite(seeds: int = 25, base_seed: int = 2200) -> dict:
     reports = [check_poisson_reduction(poisson_scenario(seed))
                for seed in range(base_seed, base_seed + seeds)]
     checks = [
@@ -159,7 +159,7 @@ def run_poisson_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: in
     }
 
 
-def run_standard_reduction_suite(seeds: int = 25, threads: int = 1, base_seed: int = 3300) -> dict:
+def run_standard_reduction_suite(seeds: int = 25, base_seed: int = 3300) -> dict:
     reports = [check_standard_reduction(standard_scenario(seed))
                for seed in range(base_seed, base_seed + seeds)]
     checks = [
@@ -206,7 +206,7 @@ def oracle_comparison(scenario) -> dict:
     return report
 
 
-def run_oracle_suite(seeds: int = 100, threads: int = 1, base_seed: int = 4400) -> dict:
+def run_oracle_suite(seeds: int = 100, base_seed: int = 4400) -> dict:
     records = []
     intensity_err = 0.0
     tv_err = 0.0
@@ -236,7 +236,7 @@ def run_oracle_suite(seeds: int = 100, threads: int = 1, base_seed: int = 4400) 
     }
 
 
-def run_cardinality_routes_suite(seeds: int = 25, threads: int = 1, base_seed: int = 5500) -> dict:
+def run_cardinality_routes_suite(seeds: int = 25, base_seed: int = 5500) -> dict:
     """Closed form against the series route: gated on poisson priors, where
     the two are provably equal; reported without a gate elsewhere, which
     documents the dropped chain-rule terms in the closed form."""
@@ -266,14 +266,9 @@ SUITES = {
 }
 
 
-def run_suites(names, seeds: int | None = None, threads: int = 1) -> dict:
-    reports = []
-    for name in names:
-        runner = SUITES[name]
-        kwargs = {"threads": threads}
-        if seeds is not None and name != "combinatorics":
-            kwargs["seeds"] = seeds
-        reports.append(runner(**kwargs))
+def run_suites(names, seeds: int | None = None) -> dict:
+    reports = [SUITES[name]() if seeds is None or name == "combinatorics"
+               else SUITES[name](seeds=seeds) for name in names]
     return {
         "suites": reports,
         "pass": all(r["pass"] for r in reports),

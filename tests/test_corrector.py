@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import operator
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,7 @@ from etcphd.corrector import (
     CARDINALITY_SUM_TOL,
     FIRST_MOMENT_TOL,
     CorrectorOptions,
+    _Workspace,
     cell_coefficient,
     cell_detection_mass,
     coefficient_table,
@@ -30,7 +33,7 @@ from etcphd.errors import (
     ValidationError,
 )
 from etcphd.oracle import compare_to_corrector, exact_posterior
-from etcphd.partitions import Partition, subpartitions_of
+from etcphd.partitions import Partition, partition_sums, subpartitions_of
 from etcphd.pgf import MAX_SUPPORT, CardinalityPgf
 from etcphd.statespace import (
     ContinuousKernel,
@@ -293,6 +296,37 @@ def test_kappa_against_oracle_decomposition():
     coefficient = (oracle.intensity - term2) / (miss * density.values)
     assert coefficient[0] == pytest.approx(coefficient[1], rel=1e-12)
     assert coefficient[0] - table.zeta_prior[1] == pytest.approx(table.kappa, rel=1e-10)
+
+
+def test_intensity_coefficients_match_exact_sums():
+    """kappa and every detected set's intensity coefficient from the
+    dual-number pass against the sum they stand for,
+    sum over non-empty W containing V of F_beta(Z - W) k_term[W - V] / normalizer
+    (F_beta a beta partition sum, k_term[empty] = zeta_prior[1]), evaluated in
+    exact rationals from the workspace's float beta, normalizer and k_term
+    (formed from size_sums as the workspace forms it).  The error is taken
+    relative to the sum of the terms' magnitudes."""
+    for seed in range(40):
+        scenario = mixed_scenario(seed, 6)
+        ws = _Workspace(scenario.prior_intensity, scenario.prior_card,
+                        scenario.measurements, scenario.model, scenario.options)
+        full, zeta = ws.full, ws.zeta_prior
+        beta = [1.0] + [ws.beta[ws.cell_of[mask]] for mask in ws.cells]
+        k_term = [zeta[1]] + [
+            math.fsum(ws.size_sums[mask][q] * zeta[q + 1]
+                      for q in range(1, len(ws.cell_of[mask]) + 1))
+            for mask in ws.cells]
+        exact_rest = partition_sums([Fraction(b) for b in beta], operator.mul, sum, True)
+        abs_rest = partition_sums([abs(b) for b in beta], operator.mul, math.fsum, True)
+        for v in range(full + 1):
+            exact, scale = Fraction(0), 0.0
+            for cell in ws.cells:
+                if cell & v == v:
+                    exact += exact_rest[full ^ cell] * Fraction(k_term[cell ^ v])
+                    scale += abs_rest[full ^ cell] * abs(k_term[cell ^ v])
+            computed = ws.intensity_coeff[v] if v else ws.kappa
+            gap = abs(Fraction(computed) - exact / Fraction(ws.normalizer))
+            assert gap <= 1e-12 * scale / abs(ws.normalizer), (seed, v)
 
 
 # -- intensity update -----------------------------------------------------------

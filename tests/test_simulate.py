@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from etcphd.corrector import CARDINALITY_SUM_TOL, FIRST_MOMENT_TOL
-from etcphd.pgf import CardinalityPgf
+from etcphd.pgf import MAX_SUPPORT, CardinalityPgf
 from etcphd.scenario import BirthSpec, SimulationSpec, load_scenario, step_result_to_dict, dump_json
 from etcphd.simulate import make_rng, predict_step, sample_iid_cluster, simulate
 from etcphd.statespace import Intensity, MeasurementSet
@@ -72,10 +73,19 @@ def test_predict_bernoulli_thinning():
 
 
 def test_predict_truncation_warns():
-    card = CardinalityPgf.finite([0.0, 0.5, 0.0, 0.5])
-    _, out_card, warnings = predict_step(np.array([1.0]), card, survival=1.0, n_max=2)
-    assert warnings
-    assert out_card.probs == pytest.approx([0.0, 1.0], abs=0.0)
+    """Births push half the mass past the support maximum: the cut at
+    MAX_SUPPORT drops P(1 + Poisson(1) birth >= 1) / 2 and warns."""
+    probs = [0.0] * (MAX_SUPPORT + 1)
+    probs[1] = probs[MAX_SUPPORT] = 0.5
+    _, out_card, warnings = predict_step(np.array([1.0]), CardinalityPgf.finite(probs),
+                                         survival=1.0, birth_intensity=np.array([1.0]),
+                                         birth_card=CardinalityPgf.poisson(1.0))
+    assert len(warnings) == 1
+    assert warnings[0].endswith(f"probability mass at order {MAX_SUPPORT}")
+    lost = float(warnings[0].split()[3])
+    assert lost == pytest.approx(0.5 * (1.0 - math.exp(-1.0)), rel=1e-12)
+    assert len(out_card.probs) == MAX_SUPPORT + 1
+    assert math.fsum(out_card.probs) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_simulate_static_when_blind(scenarios_dir, tmp_path):
