@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seeds", type=int, help="scenario count per randomized suite")
     verify.add_argument("--out", help="write the report JSON here")
-    _common_options(verify)
 
     inspect = sub.add_parser("inspect", help="print partition weights and coefficients")
     inspect.add_argument("--config", required=True)
@@ -72,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
+    """The measurement-count cap of the subcommands that run a scenario."""
     parser.add_argument("--max-z", type=int, dest="max_z",
                         help="raise the measurement-count cap (see --acknowledge-cost)")
     parser.add_argument("--acknowledge-cost", action="store_true",

@@ -26,10 +26,12 @@ with raw clutter derivatives c_k = C^(k)(0), the weights
 upsilon_j = sum over subsets S of Z of c_|S| size_sums[Z - S][j] are sums of
 non-negative terms, and P(n) is proportional to
 p_n sum_j n!/(n-j)! phi^(n-j) upsilon_j (the Faa di Bruno form of the
-standard CPHD).  The closed-form route
+standard CPHD), which is one Leibniz product of the derivative sequences of
+sum_j upsilon_j x^j and exp(phi x) at zero.  The closed-form route
 implements the published expression verbatim and is reported alongside with
 its deviation, because its cell-derivative step drops chain-rule terms for
-non-poisson priors.
+non-poisson priors.  It takes log-derivatives of the prior at zero, so for a
+prior without mass at zero the step reports it as None with a warning.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ from .errors import (
     DegenerateUpdateError,
     DivisionSingularityError,
     NumericalOverflowError,
+    SingularEvaluationError,
     SizeLimitError,
     ValidationError,
 )
 from .partitions import Cell, Partition, partition_sums, partitions_of, subpartitions_of
-from .pgf import MAX_SUPPORT, CardinalityPgf, Jet, poisson_truncation_order
+from .pgf import MAX_SUPPORT, CardinalityPgf, Jet
 from .statespace import (
     Intensity,
     MeasurementSet,
@@ -123,11 +126,12 @@ class CoefficientTable:
 
 @dataclass
 class CorrectorResult:
-    """Posterior intensity, both cardinality routes, coefficients, diagnostics."""
+    """Posterior intensity, both cardinality routes (the closed form is None
+    without prior mass at zero), coefficients, diagnostics."""
 
     intensity: np.ndarray
     cardinality: np.ndarray
-    cardinality_closed_form: np.ndarray
+    cardinality_closed_form: np.ndarray | None
     coefficients: CoefficientTable
     diagnostics: dict = field(default_factory=dict)
 
@@ -374,13 +378,9 @@ class _Workspace:
     # -- cardinality, series route ----------------------------------------
 
     def posterior_order(self) -> int:
-        options = self.options
-        if options.cardinality_order is not None:
-            n_max = options.cardinality_order
-        elif self.prior_card.kind == "finite":
-            n_max = self.prior_card.support_max
-        else:
-            n_max = poisson_truncation_order(self.prior_card.rate, len(self.measurements))
+        n_max = self.options.cardinality_order
+        if n_max is None:
+            n_max = self.prior_card.truncation_order(len(self.measurements))
         if n_max > MAX_SUPPORT:
             raise SizeLimitError(
                 f"posterior cardinality order {n_max} exceeds the support maximum {MAX_SUPPORT}"
@@ -392,11 +392,13 @@ class _Workspace:
 
         The clutter takes a subset S of Z and the targets partition the rest
         into j cells, so the p.g.f. numerator is sum_j upsilon_j x^j G^(j)(x phi)
-        with upsilon_j = sum_S C^(|S|)(0) size_sums[Z - S][j].  The i-th
-        derivative of G^(j)(x phi) at 0 is phi^i (i+j)! p_{i+j}, so every term
-        is non-negative and no prior order is capped.  Dividing by the
-        numerator at x = 1, N = sum_j G^(j)(phi) upsilon_j, keeps any mass a
-        truncated poisson prior loses visible.
+        with upsilon_j = sum_S C^(|S|)(0) size_sums[Z - S][j].  Its n-th
+        derivative at 0 is n! p_n (U * E)_n, the Leibniz product of the
+        derivatives at 0 of U(x) = sum_j upsilon_j x^j and E(x) = exp(phi x):
+        (U * E)_n = sum_j n!/(n-j)! phi^(n-j) upsilon_j.  Every term is
+        non-negative and no prior order is capped.  Dividing by the numerator
+        at x = 1, N = sum_j G^(j)(phi) upsilon_j, keeps any mass a truncated
+        poisson prior loses visible.
         """
         m = len(self.measurements)
         order = self.posterior_order()
@@ -411,14 +413,11 @@ class _Workspace:
                 "the measurement set is impossible under the model"
             )
 
-        prob = self.prior_card.prob
-        phi_powers = [self.phi**i for i in range(order + 1)]
-        numerator = Jet.constant(0.0, order)
-        for j in range(m + 1):
-            shifted = Jet(tuple(phi_powers[i] * math.factorial(i + j) * prob(i + j)
-                                for i in range(order + 1)))
-            numerator = numerator + (Jet.monomial(j, order) * shifted).scale(upsilon[j])
-        return np.array([numerator.coeffs[n] / math.factorial(n) / normalizer
+        weights = Jet(tuple(math.factorial(j) * upsilon[j] if j <= m else 0.0
+                            for j in range(order + 1)))
+        exponential = Jet(tuple(self.phi**i for i in range(order + 1)))
+        series = (weights * exponential).coeffs
+        return np.array([self.prior_card.prob(n) * series[n] / normalizer
                          for n in range(order + 1)])
 
     # -- cardinality, closed-form route -------------------------------------
@@ -491,8 +490,15 @@ def corrector_step(prior_intensity: Intensity, prior_card: CardinalityPgf,
     ws = _Workspace(prior_intensity, prior_card, measurements, model, options)
     intensity, clipped, warnings = ws.intensity_update()
     cardinality = ws.cardinality_series()
-    closed_form = ws.cardinality_closed_form()
+    try:
+        closed_form = ws.cardinality_closed_form()
+    except SingularEvaluationError as exc:
+        # Only the comparison route takes log G(0): report it, keep the step.
+        closed_form = None
+        warnings.append(f"closed-form cardinality unavailable: {exc}")
     elapsed = time.perf_counter() - start
+    route_deviation = None if closed_form is None else float(
+        np.max(np.abs(cardinality - closed_form), initial=0.0))
 
     grid = model.grid
     mass = float(np.dot(intensity, grid.weights))
@@ -509,9 +515,7 @@ def corrector_step(prior_intensity: Intensity, prior_card: CardinalityPgf,
         "cardinality_sum": card_sum,
         "posterior_mass": mass,
         "posterior_mean_from_cardinality": mean_from_card,
-        "route_max_deviation": float(np.max(np.abs(cardinality - closed_form)))
-        if cardinality.size
-        else 0.0,
+        "route_max_deviation": route_deviation,
         "partition_count": len(ws.partitions),
         "negative_intensity_clipped": clipped,
         "warnings": warnings,

@@ -3,8 +3,8 @@
 Two p.g.f. families are supported: finite-support (a probability vector
 p_0..p_N, so the p.g.f. is a polynomial) and Poisson, which is kept analytic
 so that closed-form identities for its derivatives and log-derivatives hold
-to machine precision.  All derivative bookkeeping runs through `Jet`, a
-truncated sequence of raw derivative values.
+to machine precision.  `Jet`, a truncated sequence of raw derivative values,
+multiplies two derivative sequences (a product of p.g.f.s) and takes logs.
 """
 
 from __future__ import annotations
@@ -38,26 +38,11 @@ class Jet:
     def constant(value: float, order: int) -> "Jet":
         return Jet((float(value),) + (0.0,) * order)
 
-    @staticmethod
-    def monomial(power: int, order: int) -> "Jet":
-        """Derivatives of x**power at x = 0."""
-        coeffs = [0.0] * (order + 1)
-        if power <= order:
-            coeffs[power] = float(math.factorial(power))
-        return Jet(tuple(coeffs))
-
     def _check(self, other: "Jet") -> None:
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError(
                 f"jet order mismatch: {self.order} vs {other.order}"
             )
-
-    def __add__(self, other: "Jet") -> "Jet":
-        self._check(other)
-        return Jet(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, factor: float) -> "Jet":
-        return Jet(tuple(factor * c for c in self.coeffs))
 
     def __mul__(self, other: "Jet") -> "Jet":
         """Leibniz product: (fg)^(n) = sum_i C(n,i) f^(i) g^(n-i)."""
@@ -83,25 +68,6 @@ class Jet:
             )
             out.append(acc / f[0])
         return Jet(tuple(out))
-
-
-def poisson_truncation_order(rate: float, shift: int = 0) -> int:
-    """Truncation order leaving poisson tail mass below 1e-16, plus a shift.
-
-    Used to bound posterior cardinality vectors when the prior is analytic
-    poisson rather than finite-support.  Clamped to the support maximum.
-    """
-    cumulative = 0.0
-    order = 0
-    for n in range(MAX_SUPPORT + 1):
-        if rate > 0.0:
-            cumulative += math.exp(n * math.log(rate) - rate - math.lgamma(n + 1))
-        else:
-            cumulative += 1.0 if n == 0 else 0.0
-        order = n
-        if 1.0 - cumulative < 1e-16:
-            break
-    return max(4, min(MAX_SUPPORT, order + shift + 2))
 
 
 @dataclass(frozen=True)
@@ -144,6 +110,19 @@ class CardinalityPgf:
         """Largest n with P(n) > 0 representable; None for poisson."""
         return None if self.kind == "poisson" else len(self.probs) - 1
 
+    def truncation_order(self, shift: int = 0) -> int:
+        """Highest order a series of this distribution keeps: the support of a
+        finite one, whatever the shift; for poisson, where the tail mass drops
+        below 1e-16, plus `shift` and a margin of two, within [4, MAX_SUPPORT]."""
+        if self.kind == "finite":
+            return self.support_max
+        cumulative = 0.0
+        for order in range(MAX_SUPPORT + 1):
+            cumulative += self.prob(order)
+            if 1.0 - cumulative < 1e-16:
+                break
+        return max(4, min(MAX_SUPPORT, order + shift + 2))
+
     def prob(self, n: int) -> float:
         if n < 0:
             return 0.0
@@ -173,20 +152,10 @@ class CardinalityPgf:
         if self.kind == "poisson":
             base = self.eval(x0)
             return [self.rate**j * base for j in range(k + 1)]
-        out = []
-        for j in range(k + 1):
-            # G^(j)(x0) = sum_{n>=j} p_n * n!/(n-j)! * x0^(n-j)
-            terms = []
-            for n in range(j, len(self.probs)):
-                falling = 1.0
-                for m in range(n, n - j, -1):
-                    falling *= m
-                terms.append(self.probs[n] * falling * x0 ** (n - j))
-            out.append(math.fsum(terms))
-        return out
-
-    def jet_at(self, x0: float, order: int) -> Jet:
-        return Jet(tuple(self.derivatives_at(x0, order)))
+        # G^(j)(x0) = sum_{n>=j} p_n * n!/(n-j)! * x0^(n-j)
+        return [math.fsum(self.probs[n] * math.perm(n, j) * x0 ** (n - j)
+                          for n in range(j, len(self.probs)))
+                for j in range(k + 1)]
 
     def log_derivative_at(self, x0: float, i: int) -> float:
         """i-th derivative of log G at x0 (i >= 1), via jet log of the derivative sequence.
@@ -208,4 +177,4 @@ class CardinalityPgf:
             raise SingularEvaluationError(
                 f"p.g.f. value {value!r} at {x0!r} is too small for log-derivatives"
             )
-        return list(self.jet_at(x0, k).log().coeffs)
+        return list(Jet(tuple(self.derivatives_at(x0, k))).log().coeffs)

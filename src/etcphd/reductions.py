@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateUpdateError, ModelMismatchError
 from .partitions import Cell, Partition, partitions_of, subpartitions_of
-from .pgf import CardinalityPgf, poisson_truncation_order
+from .pgf import CardinalityPgf
 from .statespace import (
     Intensity,
     MeasurementSet,
@@ -160,10 +160,7 @@ def std_cphd_update(prior_intensity: Intensity, prior_card: CardinalityPgf,
     lam = [bracket(density, p_d * ratios[z]) for z in range(m)]
     esf_full = _elementary_symmetric(lam)
 
-    if prior_card.kind == "finite":
-        n_top = prior_card.support_max
-    else:
-        n_top = poisson_truncation_order(prior_card.rate, m)
+    n_top = prior_card.truncation_order(m)
     prior_probs = np.array([prior_card.prob(n) for n in range(n_top + 1)])
 
     def likelihood_row(n: int, shift: int, esf: np.ndarray, n_meas: int) -> float:

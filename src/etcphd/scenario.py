@@ -315,6 +315,7 @@ def _cell_key(cell) -> str:
 
 def step_result_to_dict(step: StepResult) -> dict:
     coeff = step.result.coefficients
+    closed_form = step.result.cardinality_closed_form
     diagnostics = {
         k: v for k, v in step.result.diagnostics.items() if k != "wall_time_s"
     }
@@ -325,7 +326,8 @@ def step_result_to_dict(step: StepResult) -> dict:
         "posterior": {
             "intensity": list(map(float, step.result.intensity)),
             "cardinality": list(map(float, step.result.cardinality)),
-            "cardinality_closed_form": list(map(float, step.result.cardinality_closed_form)),
+            "cardinality_closed_form": None if closed_form is None
+            else list(map(float, closed_form)),
         },
         "coefficients": {
             "phi": coeff.phi,
@@ -371,7 +373,8 @@ def step_result_from_dict(doc: dict) -> StepResult:
     result = CorrectorResult(
         intensity=np.array(posterior["intensity"], dtype=float),
         cardinality=np.array(posterior["cardinality"], dtype=float),
-        cardinality_closed_form=np.array(posterior["cardinality_closed_form"], dtype=float),
+        cardinality_closed_form=None if posterior["cardinality_closed_form"] is None
+        else np.array(posterior["cardinality_closed_form"], dtype=float),
         coefficients=table,
         diagnostics=dict(doc["diagnostics"]),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corrector import corrector_step
-from .pgf import MAX_SUPPORT, CardinalityPgf, poisson_truncation_order
+from .pgf import MAX_SUPPORT, CardinalityPgf
 from .scenario import Scenario, StepResult
 from .statespace import Intensity, MeasurementSet
 
@@ -47,16 +47,6 @@ def sample_iid_cluster(rng: np.random.Generator, card: CardinalityPgf, density) 
     return [int(v) for v in rng.choice(density.size, size=n, p=density)]
 
 
-def _binomial_thinning(probs: np.ndarray, survival: float) -> np.ndarray:
-    out = np.zeros_like(probs)
-    for n, p_n in enumerate(probs):
-        if p_n == 0.0:
-            continue
-        for j in range(n + 1):
-            out[j] += p_n * math.comb(n, j) * survival**j * (1.0 - survival) ** (n - j)
-    return out
-
-
 def predict_step(posterior_intensity: np.ndarray, posterior_card: CardinalityPgf,
                  survival: float, birth_intensity: np.ndarray | None = None,
                  birth_card: CardinalityPgf | None = None):
@@ -75,20 +65,16 @@ def predict_step(posterior_intensity: np.ndarray, posterior_card: CardinalityPgf
     if birth_intensity is not None:
         intensity = intensity + np.asarray(birth_intensity, dtype=float)
 
-    if posterior_card.kind == "poisson":
-        top = poisson_truncation_order(posterior_card.rate)
-        post_probs = np.array([posterior_card.prob(n) for n in range(top + 1)])
-    else:
-        post_probs = np.array(posterior_card.probs)
-    thinned = _binomial_thinning(post_probs, survival)
+    # Thinning composes the p.g.f. with 1 - s + s x, so the survivors'
+    # P(n) = s^n G^(n)(1 - s) / n!: a poisson posterior stays poisson.
+    derivatives = posterior_card.derivatives_at(1.0 - survival, posterior_card.truncation_order())
+    thinned = np.array([survival**n * g / math.factorial(n) for n, g in enumerate(derivatives)])
 
     if birth_card is None:
         birth_probs = np.array([1.0])
-    elif birth_card.kind == "poisson":
-        top = poisson_truncation_order(birth_card.rate)
-        birth_probs = np.array([birth_card.prob(n) for n in range(top + 1)])
     else:
-        birth_probs = np.array(birth_card.probs)
+        top = birth_card.truncation_order()
+        birth_probs = np.array([birth_card.prob(n) for n in range(top + 1)])
     combined = np.convolve(thinned, birth_probs)
 
     if combined.size > MAX_SUPPORT + 1:

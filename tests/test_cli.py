@@ -51,6 +51,9 @@ def test_usage_error_exit_code():
     # No subcommand takes --threads.
     assert main(["update", "--config", "x.json", "--threads", "2"]) == 2
     assert main(["verify", "--threads", "2"]) == 2
+    # The cap options belong to the subcommands that run a scenario.
+    assert main(["verify", "--max-z", "9"]) == 2
+    assert main(["verify", "--acknowledge-cost"]) == 2
 
 
 def test_validation_error_exit_code(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 import math
 import operator
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,8 @@ from etcphd.errors import (
 )
 from etcphd.oracle import compare_to_corrector, exact_posterior
 from etcphd.partitions import Partition, partition_sums, subpartitions_of
-from etcphd.pgf import MAX_SUPPORT, CardinalityPgf
+from etcphd.pgf import MAX_SUPPORT, CardinalityPgf, Jet
+from etcphd.scenario import StepResult, dump_json, step_result_from_dict, step_result_to_dict
 from etcphd.statespace import (
     ContinuousKernel,
     DiscreteKernel,
@@ -525,15 +528,35 @@ def test_series_route_matches_oracle_at_small_prior_mass_at_zero(p0):
         assert report["pass"], (seed, report)
 
 
-def test_closed_form_requires_prior_mass_at_zero():
-    """The closed form still takes log-derivatives of the prior at zero, so a
-    step with P(0) = 0 raises the structured error rather than returning."""
+def test_closed_form_is_null_without_prior_mass_at_zero():
+    """The closed form takes log-derivatives of the prior at zero, so with
+    P(0) = 0 the step reports that route as null with a warning, while the
+    series route and the intensity still match the oracle."""
     intensity, _, measurements, model = coherent_two_point()
     card = CardinalityPgf.finite([0.0, 0.5, 0.5])
+    _, density = normalize_intensity(intensity)
+    intensity = Intensity.create(model.grid, card.mean() * density.values)
     with pytest.raises(SingularEvaluationError):
         posterior_cardinality_closed_form(intensity, card, measurements, model)
-    with pytest.raises(SingularEvaluationError):
-        corrector_step(intensity, card, measurements, model)
+
+    result = corrector_step(intensity, card, measurements, model)
+    assert result.cardinality_closed_form is None
+    assert result.diagnostics["route_max_deviation"] is None
+    warnings = result.diagnostics["warnings"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("closed-form cardinality unavailable: ")
+    oracle = exact_posterior(card, density, measurements, model, n_max=2)
+    report = compare_to_corrector(oracle, result)
+    assert report["pass"], report
+
+    step = StepResult(step_index=0, measurement_count=len(measurements),
+                      partition_count=result.diagnostics["partition_count"], result=result)
+    doc = json.loads(dump_json(step_result_to_dict(step)))
+    assert doc["posterior"]["cardinality_closed_form"] is None
+    assert doc["diagnostics"]["route_max_deviation"] is None
+    parsed = step_result_from_dict(doc).result
+    assert parsed.cardinality_closed_form is None
+    assert parsed.diagnostics["route_max_deviation"] is None
 
 
 def test_finite_prior_at_the_support_maximum():
@@ -552,6 +575,54 @@ def test_finite_prior_at_the_support_maximum():
     assert abs(diagnostics["cardinality_sum"] - 1.0) <= CARDINALITY_SUM_TOL
     gap = diagnostics["posterior_mass"] - diagnostics["posterior_mean_from_cardinality"]
     assert abs(gap) <= FIRST_MOMENT_TOL
+
+
+def series_route_reference(ws):
+    """P(n) = p_n sum_j n!/(n-j)! phi^(n-j) upsilon_j / N at 50 digits, from
+    the workspace's size sums, clutter derivatives, phi and prior."""
+    with mpmath.workdps(50):
+        m = len(ws.measurements)
+        clutter = ws.model.clutter_card.derivatives_at(0.0, m)
+        upsilon = [mpmath.fsum(mpmath.mpf(clutter[m - len(ws.cell_of[rest])])
+                               * mpmath.mpf(ws.size_sums[rest][j])
+                               for rest in range(ws.full + 1)) for j in range(m + 1)]
+        phi, card = mpmath.mpf(ws.phi), ws.prior_card
+        prob = lambda n: mpmath.mpf(card.prob(n))  # noqa: E731
+        if card.kind == "poisson":
+            rate = mpmath.mpf(card.rate)
+            derivatives = [rate**j * mpmath.exp(rate * (phi - 1)) for j in range(m + 1)]
+        else:
+            derivatives = [mpmath.fsum(prob(n) * math.perm(n, j) * phi ** (n - j)
+                                       for n in range(j, card.support_max + 1))
+                           for j in range(m + 1)]
+        normalizer = mpmath.fsum(g * u for g, u in zip(derivatives, upsilon))
+        return [float(prob(n) * mpmath.fsum(math.perm(n, j) * phi ** (n - j) * upsilon[j]
+                                            for j in range(min(n, m) + 1)) / normalizer)
+                for n in range(ws.posterior_order() + 1)]
+
+
+def test_series_route_matches_high_precision_sum(monkeypatch):
+    """The series route is one Leibniz product per step and lies within
+    1.1e-16 of the same sum at 50 digits: the scan prior, support-31 priors
+    at |Z| = 7 and a poisson prior."""
+    products = []
+
+    def counting_mul(self, other, mul=Jet.__mul__):
+        products.append(self.order)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counting_mul)
+    cases = [(performance_scenario(8), None), (performance_scenario(8), CardinalityPgf.poisson(4.0))]
+    for seed in range(8):
+        raw = np.random.default_rng(seed).uniform(0.0, 1.0, MAX_SUPPORT + 1)
+        cases.append((performance_scenario(7), CardinalityPgf.finite(raw / raw.sum())))
+    for scenario, card in cases:
+        ws = _Workspace(scenario.prior_intensity, card or scenario.prior_card,
+                        scenario.measurements, scenario.model, scenario.options)
+        products.clear()
+        series = ws.cardinality_series()
+        assert len(products) == 1
+        assert np.max(np.abs(series - series_route_reference(ws))) <= 1.1e-16
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

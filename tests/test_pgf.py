@@ -184,6 +184,18 @@ def test_partition_sum_of_log_derivatives_recovers_moments():
             assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+def test_truncation_order():
+    """Poisson series are cut where the tail drops below 1e-16, plus the
+    shift and a margin of two, within [4, 31]; finite ones at their support."""
+    expected = {(0.0, 0): 4, (0.0, 8): 10, (0.5, 0): 16, (0.5, 8): 24, (4.0, 0): 31,
+                (4.0, 8): 31, (12.0, 0): 31, (12.0, 8): 31, (40.0, 0): 31, (40.0, 8): 31}
+    for (rate, shift), order in expected.items():
+        assert CardinalityPgf.poisson(rate).truncation_order(shift) == order
+    for probs in ([1.0], [0.2, 0.8], [0.5, 0.0, 0.5, 0.0], [0.0] * 31 + [1.0]):
+        for shift in (0, 8):
+            assert CardinalityPgf.finite(probs).truncation_order(shift) == len(probs) - 1
+
+
 def test_finite_support_cap():
     with pytest.raises(ValueError):
         CardinalityPgf.finite([1.0 / 33] * 33)

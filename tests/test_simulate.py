@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,37 @@ def test_predict_bernoulli_thinning():
     card = CardinalityPgf.finite([0.0, 1.0])
     _, out_card, _ = predict_step(np.array([1.0]), card, survival=0.5)
     assert out_card.probs == pytest.approx([0.5, 0.5], abs=1e-15)
+
+
+def exact_thinning(probs, survival):
+    """Binomial thinning in rationals, over the exact total mass."""
+    s, p = Fraction(survival), [Fraction(v) for v in probs]
+    out = [sum(p[n] * math.comb(n, j) * s**j * (1 - s) ** (n - j) for n in range(j, len(p)))
+           for j in range(len(p))]
+    total = sum(out)
+    return np.array([float(v / total) for v in out])
+
+
+def test_predict_thinning_matches_exact_binomial():
+    """Thinning read off the p.g.f. derivatives at 1 - s agrees with exact
+    binomial thinning, and a poisson posterior thins to Poisson(rate s)."""
+    rng = np.random.default_rng(11)
+    for support in range(1, MAX_SUPPORT + 1):
+        raw = rng.uniform(0.0, 1.0, support + 1)
+        raw[:-1][rng.uniform(size=support) < 0.3] = 0.0
+        card = CardinalityPgf.finite(raw / raw.sum())
+        for survival in (0.0, 0.5, 0.95, 1.0, float(rng.uniform())):
+            _, out, _ = predict_step(np.array([1.0]), card, survival)
+            expected = exact_thinning(card.probs, survival)
+            got = np.zeros(expected.size)
+            got[: len(out.probs)] = out.probs
+            assert np.max(np.abs(got - expected)) <= 1e-15, (support, survival)
+    for rate in (0.5, 2.0, 4.0):
+        for survival in (0.0, 0.5, 0.95, 1.0, float(rng.uniform())):
+            _, out, _ = predict_step(np.array([rate]), CardinalityPgf.poisson(rate), survival)
+            thinned = CardinalityPgf.poisson(rate * survival)
+            expected = [thinned.prob(n) for n in range(len(out.probs))]
+            assert np.max(np.abs(np.array(out.probs) - expected)) <= 1e-15, (rate, survival)
 
 
 def test_predict_truncation_warns():
