@@ -273,10 +273,12 @@ class _Workspace:
         self.model = model
         self.prior_card = prior_card
         self.mass, self.density = normalize_intensity(prior_intensity)
+        # Highest order first: the miss profile then reads row 0 of the same
+        # per-model table instead of building an order-0 one before it.
+        self.gz_der = model.meas_derivatives_at_zero(m)
         self.miss = missed_detection_profile(model)
         self.phi = bracket(self.density, self.miss)
         self.ratios = ratio_matrix(measurements, model)
-        self.gz_der = model.meas_derivatives_at_zero(m)
 
         zeta_prior = prior_card.log_derivatives_at(self.phi, m + 1)
         self.zeta_prior = tuple(zeta_prior)

@@ -11,7 +11,7 @@ modes look the same from above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -124,7 +124,8 @@ def bracket(density: SpatialDensity, f) -> float:
     if bad.size:
         point = grid.ids[int(bad[0])]
         raise EvaluationError(f"non-finite functional value at grid point {point!r}")
-    return float(math.fsum(density.values * values * grid.weights))
+    # fsum over Python floats: the same exactly rounded sum, faster than over numpy scalars.
+    return float(math.fsum((density.values * values * grid.weights).tolist()))
 
 
 class DiscreteKernel:
@@ -198,13 +199,21 @@ class ContinuousKernel:
 
 @dataclass(frozen=True)
 class SensorModel:
-    """Detection probability, clutter process, and per-target measurement process."""
+    """Detection probability, clutter process, and per-target measurement process.
+
+    The per-point table G_Z^(j)(0 | x), j = 0..k, depends on the model alone,
+    so the model builds it on first use and keeps it for every later step.  It
+    grows only when a step needs a higher order than any before it, and
+    `dataclasses.replace` starts the new model without it.  A single step
+    still pays for one build.
+    """
 
     grid: StateGrid
     detection_prob: np.ndarray
     clutter_card: CardinalityPgf
     meas_card: tuple[CardinalityPgf, ...]
     kernel: object
+    _gz_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def create(grid, detection_prob, clutter_card, meas_card, kernel) -> "SensorModel":
@@ -226,12 +235,18 @@ class SensorModel:
 
     def meas_pgf_at_zero(self) -> np.ndarray:
         """G_Z(0 | x) per grid point, i.e. the no-measurement probability."""
-        return np.array([card.eval(0.0) for card in self.meas_card])
+        return self.meas_derivatives_at_zero(0)[0]
 
     def meas_derivatives_at_zero(self, k: int) -> np.ndarray:
-        """Matrix gz[j, i] = j-th derivative of G_Z(. | x_i) at 0, j = 0..k."""
-        cols = [card.derivatives_at(0.0, k) for card in self.meas_card]
-        return np.array(cols).T if cols else np.zeros((k + 1, 0))
+        """Read-only matrix gz[j, i] = j-th derivative of G_Z(. | x_i) at 0, j = 0..k."""
+        table = self._gz_tables.get("at_zero")
+        if table is None or table.shape[0] <= k:
+            # Per card, not by kind with numpy: numpy's vectorised exp and
+            # power may round differently from math.exp and float powers.
+            cols = [card.derivatives_at(0.0, k) for card in self.meas_card]
+            table = _frozen_array(np.array(cols).T.copy() if cols else np.zeros((k + 1, 0)))
+            self._gz_tables["at_zero"] = table
+        return table[: k + 1]
 
     def ratio_column(self, value) -> np.ndarray:
         """p_z(value | x) / p_FA(value) per grid point."""

@@ -1,10 +1,15 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from etcphd import synthetic
+from etcphd.corrector import corrector_step
 from etcphd.errors import DegeneratePriorError, EvaluationError, ModelViolationError
 from etcphd.pgf import CardinalityPgf
+from etcphd.scenario import StepResult, dump_json, step_result_to_dict
 from etcphd.statespace import (
     DiscreteKernel,
     Intensity,
@@ -83,6 +88,110 @@ def test_bracket_rejects_nonfinite_and_names_point():
     with pytest.raises(EvaluationError) as excinfo:
         bracket(density, np.array([1.0, np.inf]))
     assert "right" in str(excinfo.value)
+
+
+def test_bracket_is_exactly_rounded():
+    grid = StateGrid.create([1.0, 1.0, 1.0])
+    density = SpatialDensity.create(grid, [0.25, 0.5, 0.25])
+    rng = np.random.default_rng(5)
+    cases = [np.array([4e16, 2.0, -4e16])]
+    cases += [np.array([1.0, -1.0, 1.0]) * rng.uniform(1e15, 1e17) + rng.uniform(-9, 9, 3)
+              for _ in range(20)]
+    for f in cases:
+        products = density.values * f * grid.weights
+        exact = float(sum(Fraction(float(v)) for v in products))
+        assert bracket(density, f) == exact
+    # The first case's products are 1e16, 1.0 and -1e16: a running float sum gives 0.
+    assert bracket(density, cases[0]) == 1.0
+
+
+def _per_card_table(cards, k):
+    return np.array([card.derivatives_at(0.0, k) for card in cards]).T
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_meas_pgf_at_zero_is_bitwise_card_eval():
+    models = [synthetic.mixed_scenario(seed, 2).model for seed in range(10)]
+    models.append(uniform_model([0.5, 0.9], [CardinalityPgf.finite([0.0, 0.4, 0.6]),
+                                             CardinalityPgf.poisson(0.0)]))
+    for model in models:
+        expected = [card.eval(0.0) for card in model.meas_card]
+        assert _bitwise_equal(model.meas_pgf_at_zero(), expected)
+        # Row 0 of a table built to a higher order is the same.
+        higher = dataclasses.replace(model)
+        higher.meas_derivatives_at_zero(4)
+        assert _bitwise_equal(higher.meas_pgf_at_zero(), expected)
+
+
+def test_meas_derivative_table_grows_bitwise():
+    model = synthetic.mixed_scenario(3, 2).model
+    cards = model.meas_card
+    assert _bitwise_equal(model.meas_derivatives_at_zero(2), _per_card_table(cards, 2))
+    assert _bitwise_equal(model.meas_derivatives_at_zero(5), _per_card_table(cards, 5))
+    assert _bitwise_equal(model.meas_derivatives_at_zero(1), _per_card_table(cards, 1))
+
+
+def test_meas_tables_are_read_only():
+    model = synthetic.mixed_scenario(0, 2).model
+    with pytest.raises(ValueError):
+        model.meas_derivatives_at_zero(2)[1, 0] = 1.0
+    with pytest.raises(ValueError):
+        model.meas_pgf_at_zero()[0] = 1.0
+
+
+def test_replaced_model_gets_the_new_cards_table():
+    model = synthetic.mixed_scenario(1, 2).model
+    model.meas_derivatives_at_zero(3)
+    cards = tuple(CardinalityPgf.finite([0.2, 0.3, 0.5]) for _ in model.meas_card)
+    replaced = dataclasses.replace(model, meas_card=cards)
+    assert _bitwise_equal(replaced.meas_derivatives_at_zero(3), _per_card_table(cards, 3))
+    assert _bitwise_equal(model.meas_derivatives_at_zero(3),
+                          _per_card_table(model.meas_card, 3))
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_steps_build_the_model_table_once(monkeypatch, seed):
+    scenario = synthetic.mixed_scenario(seed, 3)
+
+    def step_text(model):
+        result = corrector_step(scenario.prior_intensity, scenario.prior_card,
+                                scenario.measurements, model)
+        step = StepResult(step_index=0, measurement_count=len(scenario.measurements),
+                          partition_count=result.diagnostics["partition_count"],
+                          result=result)
+        return dump_json(step_result_to_dict(step))
+
+    fresh_text = step_text(synthetic.mixed_scenario(seed, 3).model)
+    per_point = {id(card) for card in scenario.model.meas_card}
+    calls = []
+    depth = [0]
+
+    def counted(name):
+        original = getattr(CardinalityPgf, name)
+
+        def wrapper(self, *args, **kwargs):
+            # Outermost calls only: a poisson card's derivatives_at calls eval.
+            if id(self) in per_point and depth[0] == 0:
+                calls.append(name)
+            depth[0] += 1
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("derivatives_at", "eval"):
+        monkeypatch.setattr(CardinalityPgf, name, counted(name))
+    # The first step builds the table once, at its highest order.
+    step_text(scenario.model)
+    assert calls == ["derivatives_at"] * scenario.grid.size
+    calls.clear()
+    assert step_text(scenario.model) == fresh_text
+    assert calls == []
 
 
 def test_missed_detection_mass_bounds():
