@@ -11,27 +11,28 @@ routes.  The table is built from four layers:
   omega[P]   normalized products of beta over the cells of each partition
 
 Every partition sum except omega's runs through `partitions.partition_sums`
-in a ring of its own: cell-counting polynomials for the sub-partition sums
+in a ring of its own: cell-counting polynomials for the size sums
 (size_sums[S][j] sums the eta products over the partitions of S into j
-cells), dual numbers beta_W + t k_W with t^2 = 0 for kappa and the intensity
-coefficients (their first-order part puts k on one cell of each partition
-and beta on the others), plain sequences for the closed form.  Omega, which
-result files carry in full, is enumerated; so are the reference functions
-below.
+cells) and plain sequences for the closed form.  Omega, which result files
+carry in full, is enumerated; so are the reference functions below.
 
-The intensity update follows the summary formula with the correction
-constant kappa; the cardinality comes from differentiating the posterior
-p.g.f. at zero.  The authoritative series route needs no log-derivatives:
-with raw clutter derivatives c_k = C^(k)(0), the weights
-upsilon_j = sum over subsets S of Z of c_|S| size_sums[Z - S][j] are sums of
-non-negative terms, and P(n) is proportional to
-p_n sum_j n!/(n-j)! phi^(n-j) upsilon_j (the Faa di Bruno form of the
-standard CPHD), which is one Leibniz product of the derivative sequences of
-sum_j upsilon_j x^j and exp(phi x) at zero.  The closed-form route
-implements the published expression verbatim and is reported alongside with
-its deviation, because its cell-derivative step drops chain-rule terms for
-non-poisson priors.  It takes log-derivatives of the prior at zero, so for a
-prior without mass at zero the step reports it as None with a warning.
+Every output a caller consumes comes from sums of non-negative terms (the
+Faa di Bruno form of the standard CPHD), with raw clutter derivatives
+c_k = C^(k)(0) and raw prior derivatives g_j = G^(j)(phi):
+upsilon_j(T) = sum over subsets S of T of c_|S| size_sums[T - S][j], and
+N = sum_j g_j upsilon_j(Z) is the posterior p.g.f. numerator at one.  A
+detected set V weighs the intensity by sum_j g_(j+1) upsilon_j(Z - V) / N
+(the empty V is the missed detection), with no log-derivative taken.  The
+cardinality comes from differentiating the posterior p.g.f. at zero: P(n) is
+proportional to p_n sum_j n!/(n-j)! phi^(n-j) upsilon_j(Z), one Leibniz
+product of the derivative sequences of sum_j upsilon_j x^j and exp(phi x).
+Beta, omega, kappa, the normalizer and the zeta tables are the paper's
+quantities, reported; kappa is read off the same sums.  The closed-form
+route implements the published expression verbatim and is reported
+alongside with its deviation, because its cell-derivative step drops
+chain-rule terms for non-poisson priors.  It takes log-derivatives of the
+prior at zero, so for a prior without mass at zero the step reports it as
+None with a warning.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ from .errors import (
     DivisionSingularityError,
     NumericalOverflowError,
     SingularEvaluationError,
-    SizeLimitError,
     ValidationError,
 )
 from .partitions import Cell, Partition, partition_sums, partitions_of, subpartitions_of
-from .pgf import MAX_SUPPORT, CardinalityPgf, Jet
+from .pgf import CardinalityPgf, Jet
 from .statespace import (
     Intensity,
     MeasurementSet,
@@ -84,14 +84,11 @@ class CorrectorOptions:
     """Knobs for one corrector step.
 
     Raising `max_measurements` above 8 multiplies the Bell-number cost and
-    requires `acknowledge_cost=True`.  `cardinality_order` overrides the
-    posterior cardinality truncation (mandatory knowledge for poisson
-    priors, implied by the support for finite ones).
+    requires `acknowledge_cost=True`.
     """
 
     max_measurements: int = 8
     acknowledge_cost: bool = False
-    cardinality_order: int | None = None
 
     def effective_cap(self) -> int:
         if self.max_measurements > 8 and not self.acknowledge_cost:
@@ -108,10 +105,12 @@ class CorrectorOptions:
 class CoefficientTable:
     """All scalar coefficients of one corrector step.
 
-    `zeta_prior[i]` is the i-th log-derivative of the prior cardinality
-    p.g.f. at phi, `zeta_clutter[i]` the i-th log-derivative of the clutter
-    p.g.f. at zero; index 0 holds the log value itself in both.  Cell keys
-    are ascending label tuples.
+    The intensity and the series cardinality use only phi and eta of these;
+    beta, omega, kappa, the normalizer and the zeta tables are the paper's
+    quantities, reported.  `zeta_prior[i]` is the i-th log-derivative of
+    the prior cardinality p.g.f. at phi, `zeta_clutter[i]` the i-th
+    log-derivative of the clutter p.g.f. at zero; index 0 holds the log
+    value itself in both.  Cell keys are ascending label tuples.
     """
 
     phi: float
@@ -246,15 +245,6 @@ def _poly_total(polys) -> np.ndarray:
     return np.array([math.fsum(column) for column in np.array(polys).T.tolist()])
 
 
-def _dual_mul(a, b):
-    return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
-
-
-def _dual_total(duals):
-    values, slopes = zip(*duals)
-    return math.fsum(values), math.fsum(slopes)
-
-
 class _Workspace:
     """Everything one corrector step shares between its operations.
 
@@ -305,16 +295,11 @@ class _Workspace:
         self.size_sums = [p.tolist() for p in partition_sums(marked, _poly_mul, _poly_total, True)]
 
         self.beta: dict[Cell, float] = {}
-        beta = [1.0] * (full + 1)
-        k_term = [0.0] * (full + 1)
         for mask in self.cells:
             sums, size = self.size_sums[mask], len(self.cell_of[mask])
-            beta[mask] = self.beta[self.cell_of[mask]] = math.fsum(
+            self.beta[self.cell_of[mask]] = math.fsum(
                 [self.zeta_clutter[size]]
                 + [sums[q] * self.zeta_prior[q] for q in range(1, size + 1)]
-            )
-            k_term[mask] = math.fsum(
-                sums[q] * self.zeta_prior[q + 1] for q in range(1, size + 1)
             )
 
         self.partitions = partitions_of(range(m), cap=cap)
@@ -327,15 +312,42 @@ class _Workspace:
             )
         self.omega = {p: v / self.normalizer for p, v in zip(self.partitions, products)}
 
-        # With cell weights beta[W] + t k_term[W], t * t = 0, F[S] holds the
-        # beta partition sum of S and, second, the sum over non-empty U within
-        # S of k_term[U] times the beta partition sum of S - U.  Detected set V
-        # takes its coefficient from S = full - V; the empty V is kappa.
-        pairs = partition_sums(list(zip(beta, k_term)), _dual_mul, _dual_total, True)
-        self.kappa = pairs[full][1] / self.normalizer
-        self.intensity_coeff = [self.kappa] + [
-            (self.zeta_prior[1] * pairs[full ^ mask][0] + pairs[full ^ mask][1]) / self.normalizer
-            for mask in self.cells]
+        # The clutter takes a subset S of Z and the targets partition the rest
+        # into j cells: upsilon_j = sum_S c_|S| E_j(Z - S), N = sum_j g_j upsilon_j.
+        clutter = model.clutter_card.derivatives_at(0.0, m)
+        g = prior_card.derivatives_at(self.phi, m + 1)
+        self.upsilon = _poly_total([clutter[m - len(self.cell_of[rest])]
+                                    * np.array(self.size_sums[rest])
+                                    for rest in range(full + 1)]).tolist()
+        self.card_normalizer = math.fsum(gj * u for gj, u in zip(g, self.upsilon))
+        if self.card_normalizer <= DENOMINATOR_FLOOR:
+            raise DegenerateUpdateError(
+                "posterior p.g.f. numerator vanishes at one; "
+                "the measurement set is impossible under the model"
+            )
+
+        # Detected set V (bitmask; the empty one is the missed detection)
+        # weighs sum_j g_(j+1) upsilon_j(Z - V) / N.  With h[U] = sum_j
+        # g_(j+1) E_j(U), that is the sum of c_(|T| - |U|) h[U] over the
+        # subsets U of T = Z - V: 3^|Z| non-negative terms in all.
+        h = [math.fsum(gj * e for gj, e in zip(g[1:], sums)) for sums in self.size_sums]
+        self.intensity_coeff = []
+        for detected in range(full + 1):
+            rest = full ^ detected
+            size = len(self.cell_of[rest])
+            terms = [clutter[size] * h[0]]
+            sub = rest
+            while sub:
+                terms.append(clutter[size - len(self.cell_of[sub])] * h[sub])
+                sub = (sub - 1) & rest
+            self.intensity_coeff.append(math.fsum(terms) / self.card_normalizer)
+
+        # kappa, reported: G' = zeta' G gives g_(j+1) = sum_i C(j, i)
+        # zeta_prior[i + 1] g_(j-i); without its i = 0 term (zeta_prior[1] N
+        # in all) the sum leaves kappa, exactly 0.0 when zeta_prior[2:] is.
+        d = [math.fsum(math.comb(j, i) * self.zeta_prior[i + 1] * g[j - i] for i in range(1, j + 1))
+             for j in range(m + 1)]
+        self.kappa = math.fsum(dj * u for dj, u in zip(d, self.upsilon)) / self.card_normalizer
 
     @property
     def table(self) -> CoefficientTable:
@@ -354,7 +366,7 @@ class _Workspace:
 
     def intensity_update(self):
         p = self.density.values
-        base = (self.zeta_prior[1] + self.kappa) * self.miss * p
+        base = self.intensity_coeff[0] * self.miss * p
         detected = np.zeros_like(base)
         for mask in self.cells:
             coeff = self.intensity_coeff[mask]
@@ -380,21 +392,13 @@ class _Workspace:
     # -- cardinality, series route ----------------------------------------
 
     def posterior_order(self) -> int:
-        n_max = self.options.cardinality_order
-        if n_max is None:
-            n_max = self.prior_card.truncation_order(len(self.measurements))
-        if n_max > MAX_SUPPORT:
-            raise SizeLimitError(
-                f"posterior cardinality order {n_max} exceeds the support maximum {MAX_SUPPORT}"
-            )
-        return int(n_max)
+        return self.prior_card.truncation_order(len(self.measurements))
 
     def cardinality_series(self) -> np.ndarray:
         """Authoritative route: derivative series of the posterior p.g.f. at 0.
 
-        The clutter takes a subset S of Z and the targets partition the rest
-        into j cells, so the p.g.f. numerator is sum_j upsilon_j x^j G^(j)(x phi)
-        with upsilon_j = sum_S C^(|S|)(0) size_sums[Z - S][j].  Its n-th
+        The p.g.f. numerator is sum_j upsilon_j x^j G^(j)(x phi), with the
+        workspace's upsilon_j = sum_S C^(|S|)(0) size_sums[Z - S][j].  Its n-th
         derivative at 0 is n! p_n (U * E)_n, the Leibniz product of the
         derivatives at 0 of U(x) = sum_j upsilon_j x^j and E(x) = exp(phi x):
         (U * E)_n = sum_j n!/(n-j)! phi^(n-j) upsilon_j.  Every term is
@@ -404,22 +408,11 @@ class _Workspace:
         """
         m = len(self.measurements)
         order = self.posterior_order()
-        clutter = self.model.clutter_card.derivatives_at(0.0, m)
-        upsilon = _poly_total([clutter[m - len(self.cell_of[rest])] * np.array(self.size_sums[rest])
-                               for rest in range(self.full + 1)]).tolist()
-        normalizer = math.fsum(
-            g * u for g, u in zip(self.prior_card.derivatives_at(self.phi, m), upsilon))
-        if normalizer <= DENOMINATOR_FLOOR:
-            raise DegenerateUpdateError(
-                "posterior p.g.f. numerator vanishes at one; "
-                "the measurement set is impossible under the model"
-            )
-
-        weights = Jet(tuple(math.factorial(j) * upsilon[j] if j <= m else 0.0
+        weights = Jet(tuple(math.factorial(j) * self.upsilon[j] if j <= m else 0.0
                             for j in range(order + 1)))
         exponential = Jet(tuple(self.phi**i for i in range(order + 1)))
         series = (weights * exponential).coeffs
-        return np.array([self.prior_card.prob(n) * series[n] / normalizer
+        return np.array([self.prior_card.prob(n) * series[n] / self.card_normalizer
                          for n in range(order + 1)])
 
     # -- cardinality, closed-form route -------------------------------------

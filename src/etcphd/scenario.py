@@ -243,7 +243,6 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
         known = {
             "max_z": ("max_measurements", int),
             "acknowledge_cost": ("acknowledge_cost", bool),
-            "n_max": ("cardinality_order", int),
         }
         kwargs = {}
         for key, value in options_doc.items():

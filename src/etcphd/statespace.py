@@ -110,16 +110,13 @@ def normalize_intensity(intensity: Intensity) -> tuple[float, SpatialDensity]:
 def bracket(density: SpatialDensity, f) -> float:
     """The grid functional p[f] = sum_x p(x) f(x) w(x).
 
-    `f` is an array over grid points or a callable of the point index.
-    Non-finite values are surfaced with the offending point named.
+    `f` is an array over grid points.  Non-finite values are surfaced with
+    the offending point named.
     """
     grid = density.grid
-    if callable(f):
-        values = np.array([float(f(i)) for i in range(grid.size)])
-    else:
-        values = np.asarray(f, dtype=float)
-        if values.shape != (grid.size,):
-            raise ValueError(f"functional shape {values.shape} does not match grid size")
+    values = np.asarray(f, dtype=float)
+    if values.shape != (grid.size,):
+        raise ValueError(f"functional shape {values.shape} does not match grid size")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         point = grid.ids[int(bad[0])]

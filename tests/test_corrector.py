@@ -302,13 +302,13 @@ def test_kappa_against_oracle_decomposition():
 
 
 def test_intensity_coefficients_match_exact_sums():
-    """kappa and every detected set's intensity coefficient from the
-    dual-number pass against the sum they stand for,
+    """kappa and every detected set's intensity coefficient against the
+    paper's signed-beta form of the same quantities,
     sum over non-empty W containing V of F_beta(Z - W) k_term[W - V] / normalizer
-    (F_beta a beta partition sum, k_term[empty] = zeta_prior[1]), evaluated in
-    exact rationals from the workspace's float beta, normalizer and k_term
-    (formed from size_sums as the workspace forms it).  The error is taken
-    relative to the sum of the terms' magnitudes."""
+    (F_beta a beta partition sum, k_term[W] = sum_q size_sums[W][q]
+    zeta_prior[q + 1], k_term[empty] = zeta_prior[1]), evaluated in exact
+    rationals from the workspace's float beta, normalizer and size sums.
+    The error is taken relative to the sum of the terms' magnitudes."""
     for seed in range(40):
         scenario = mixed_scenario(seed, 6)
         ws = _Workspace(scenario.prior_intensity, scenario.prior_card,
@@ -330,6 +330,83 @@ def test_intensity_coefficients_match_exact_sums():
             computed = ws.intensity_coeff[v] if v else ws.kappa
             gap = abs(Fraction(computed) - exact / Fraction(ws.normalizer))
             assert gap <= 1e-12 * scale / abs(ws.normalizer), (seed, v)
+
+
+def exact_intensity_reference(ws):
+    """Intensity coefficients and kappa in exact rationals, from the
+    workspace's float eta, phi, prior and clutter derivatives.
+
+    E_j(S) comes from the subset recursion, upsilon_j(T) from submask sums,
+    g_j = G^(j)(phi) from the prior probabilities (or, for poisson, from the
+    rate and the float G(phi)), coefficient V = sum_j g_(j+1)
+    upsilon_j(Z - V) / N with N = sum_j g_j upsilon_j(Z), and kappa is the
+    missed-detection coefficient less zeta_1 = G'(phi) / G(phi)."""
+    m, full = len(ws.measurements), ws.full
+    size = [len(cell) for cell in ws.cell_of]
+
+    def poly_mul(a, b):
+        out = [Fraction(0)] * (m + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[:m + 1 - i]):
+                    if y:
+                        out[i + j] += x * y
+        return out
+
+    def poly_total(polys):
+        return [sum(column, Fraction(0)) for column in zip(*polys)]
+
+    unit = [Fraction(1)] + [Fraction(0)] * m
+    marked = [unit] + [[Fraction(0), Fraction(ws.eta[ws.cell_of[mask]])] + [Fraction(0)] * (m - 1)
+                       for mask in ws.cells]
+    e = partition_sums(marked, poly_mul, poly_total, True)
+    clutter = [Fraction(c) for c in ws.model.clutter_card.derivatives_at(0.0, m)]
+
+    def upsilon(rest):
+        total = [Fraction(0)] * (m + 1)
+        sub = rest
+        while True:
+            c = clutter[size[rest] - size[sub]]
+            for j, value in enumerate(e[sub]):
+                if value:
+                    total[j] += c * value
+            if not sub:
+                return total
+            sub = (sub - 1) & rest
+
+    card, phi = ws.prior_card, Fraction(ws.phi)
+    if card.kind == "poisson":
+        rate, value = Fraction(card.rate), Fraction(card.eval(ws.phi))
+        g = [rate**j * value for j in range(m + 2)]
+    else:
+        probs = [Fraction(p) for p in card.probs]
+        g = [sum((probs[n] * math.perm(n, j) * phi ** (n - j)
+                  for n in range(j, len(probs))), Fraction(0)) for j in range(m + 2)]
+    whole = upsilon(full)
+    normalizer = sum(gj * u for gj, u in zip(g, whole))
+    coefficients = [sum(gj * u for gj, u in zip(g[1:], upsilon(full ^ detected))) / normalizer
+                    for detected in range(full + 1)]
+    return coefficients, coefficients[0] - g[1] / g[0]
+
+
+# Seed 6 at |Z| = 8 cancels in the signed-beta form of kappa, which lands
+# 7e-12 relative off there.
+EXACT_CASES = [(seed, 6) for seed in range(40)] + [(seed, 8) for seed in (0, 1, 2, 3, 6)]
+
+
+@pytest.mark.parametrize("seed, n", [pytest.param(*case, id=f"mixed-{case[0]}-{case[1]}")
+                                     for case in EXACT_CASES])
+def test_intensity_coefficients_match_exact_rationals(seed, n):
+    """Every intensity coefficient lies within 1e-15 relative of its exact
+    value, and kappa within 1e-13: the non-negative sums do not cancel."""
+    scenario = mixed_scenario(seed, n)
+    ws = _Workspace(scenario.prior_intensity, scenario.prior_card,
+                    scenario.measurements, scenario.model, scenario.options)
+    coefficients, kappa = exact_intensity_reference(ws)
+    for detected, exact in enumerate(coefficients):
+        gap = abs(Fraction(ws.intensity_coeff[detected]) - exact)
+        assert gap <= Fraction(1e-15) * exact, (detected, float(gap / exact))
+    assert abs(Fraction(ws.kappa) - kappa) <= Fraction(1e-13) * abs(kappa)
 
 
 # -- intensity update -----------------------------------------------------------

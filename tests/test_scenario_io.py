@@ -86,6 +86,11 @@ def test_unknown_option_rejected():
     with pytest.raises(ValidationError) as excinfo:
         scenario_from_dict(doc)
     assert "options.max_derivative_order: unknown option" in excinfo.value.violations
+    # Nor a cardinality order: the prior's truncation order sets it.
+    doc["options"] = {"n_max": 12}
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(doc)
+    assert "options.n_max: unknown option" in excinfo.value.violations
 
 
 def test_measurement_index_bounds_checked():
