@@ -23,9 +23,10 @@ upsilon_j(T) = sum over subsets S of T of c_|S| size_sums[T - S][j], and
 N = sum_j g_j upsilon_j(Z) is the posterior p.g.f. numerator at one.  A
 detected set V weighs the intensity by sum_j g_(j+1) upsilon_j(Z - V) / N
 (the empty V is the missed detection), with no log-derivative taken.  The
-cardinality comes from differentiating the posterior p.g.f. at zero: P(n) is
-proportional to p_n sum_j n!/(n-j)! phi^(n-j) upsilon_j(Z), one Leibniz
-product of the derivative sequences of sum_j upsilon_j x^j and exp(phi x).
+posterior cardinality stays a finite head times a Poisson factor, like the
+prior: P(n) is proportional to p_n sum_j n!/(n-j)! phi^(n-j) upsilon_j(Z)
+for a finite prior, one Leibniz product of the derivative sequences of
+sum_j upsilon_j x^j and exp(phi x), and a prior rate mu adds one per shift.
 Beta, omega, kappa, the normalizer and the zeta tables are the paper's
 quantities, reported; kappa is read off the same sums.  The closed-form
 route implements the published expression verbatim and is reported
@@ -40,6 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -69,6 +71,8 @@ DENOMINATOR_FLOOR = 1e-300
 # Normalization a posterior cardinality must meet, else the step warns.
 CARDINALITY_SUM_TOL = 1e-10
 FIRST_MOMENT_TOL = 1e-9
+# Below this prior head P(0) the closed form, whose error grows as 1/P(0), warns.
+CLOSED_FORM_MIN_P0 = 1e-2
 NORMALIZATION_KEYS = ("omega_sum", "cardinality_sum", "posterior_mass",
                       "posterior_mean_from_cardinality")
 
@@ -131,6 +135,7 @@ class CorrectorResult:
     intensity: np.ndarray
     cardinality: np.ndarray
     cardinality_closed_form: np.ndarray | None
+    posterior_card: CardinalityPgf
     coefficients: CoefficientTable
     diagnostics: dict = field(default_factory=dict)
 
@@ -391,29 +396,32 @@ class _Workspace:
 
     # -- cardinality, series route ----------------------------------------
 
-    def posterior_order(self) -> int:
-        return self.prior_card.truncation_order(len(self.measurements))
+    @cached_property
+    def posterior_card(self) -> CardinalityPgf:
+        """Authoritative route: the posterior cardinality, in the prior's family.
 
-    def cardinality_series(self) -> np.ndarray:
-        """Authoritative route: derivative series of the posterior p.g.f. at 0.
-
-        The p.g.f. numerator is sum_j upsilon_j x^j G^(j)(x phi), with the
-        workspace's upsilon_j = sum_S C^(|S|)(0) size_sums[Z - S][j].  Its n-th
-        derivative at 0 is n! p_n (U * E)_n, the Leibniz product of the
-        derivatives at 0 of U(x) = sum_j upsilon_j x^j and E(x) = exp(phi x):
-        (U * E)_n = sum_j n!/(n-j)! phi^(n-j) upsilon_j.  Every term is
-        non-negative and no prior order is capped.  Dividing by the numerator
-        at x = 1, N = sum_j G^(j)(phi) upsilon_j, keeps any mass a truncated
-        poisson prior loses visible.
+        With the prior G(y) = F(y) exp(mu (y - 1)), the p.g.f. numerator
+        sum_j upsilon_j x^j G^(j)(x phi) is exp(mu (x phi - 1)) times a
+        polynomial H whose x^(n+d) coefficient collects f_n mu^d/d! (W_d * E)_n,
+        one Leibniz product of W_d = ((i+d)! upsilon_(i+d))_i with the
+        derivatives E = (phi^i) of exp(phi x) at 0 per shift d (only d = 0
+        at mu = 0).  Every term is non-negative.  With N = sum_j G^(j)(phi)
+        upsilon_j, the numerator at x = 1, the posterior is the head
+        exp(mu (phi - 1)) H / N times Poisson(mu phi): no tail is cut.
         """
         m = len(self.measurements)
-        order = self.posterior_order()
-        weights = Jet(tuple(math.factorial(j) * self.upsilon[j] if j <= m else 0.0
-                            for j in range(order + 1)))
-        exponential = Jet(tuple(self.phi**i for i in range(order + 1)))
-        series = (weights * exponential).coeffs
-        return np.array([self.prior_card.prob(n) * series[n] / self.card_normalizer
-                         for n in range(order + 1)])
+        f, mu = self.prior_card.probs, self.prior_card.rate
+        exponential = Jet(tuple(self.phi**i for i in range(len(f))))
+        terms = [[] for _ in range(len(f) + (m if mu else 0))]
+        for d in range(m + 1 if mu else 1):
+            weights = Jet(tuple(math.factorial(i + d) * self.upsilon[i + d] if i + d <= m else 0.0
+                                for i in range(len(f))))
+            scale = mu**d / math.factorial(d)
+            for n, value in enumerate((weights * exponential).coeffs):
+                terms[n + d].append(f[n] * scale * value)
+        factor = math.exp(mu * self.phi - mu)
+        head = tuple(factor * math.fsum(t) / self.card_normalizer for t in terms)
+        return CardinalityPgf(head, mu * self.phi)
 
     # -- cardinality, closed-form route -------------------------------------
 
@@ -423,10 +431,11 @@ class _Workspace:
         Per cell the derivative factor keeps only sub-partitions whose cell
         count equals the derivative order (the chain-rule remainder is
         dropped, which is exact for poisson priors); cells combine by plain
-        convolution over derivative orders, partitions by summation.
+        convolution over derivative orders, partitions by summation.  The
+        vector ends where the series route's does.
         """
         m = len(self.measurements)
-        order = self.posterior_order()
+        order = self.posterior_card.truncation_order()
         zeta0 = self.prior_card.log_derivatives_at(0.0, m) if m > 0 else None
 
         sequences = [_poly(m, 1.0)] + [None] * self.full
@@ -436,10 +445,11 @@ class _Workspace:
                 m, self.zeta_clutter[size], *(sums[q] * zeta0[q] for q in range(1, size + 1)))
         inner = partition_sums(sequences, _poly_mul, _poly_total)[self.full].tolist()
         scale = 1.0 / (self.prior_card.eval(self.phi) * self.normalizer)
+        prior = self.prior_card.vector(order)
         probs = np.zeros(order + 1)
         for n in range(order + 1):
             probs[n] = scale * math.fsum(
-                self.phi ** (n - i) * self.prior_card.prob(n - i) * inner[i]
+                self.phi ** (n - i) * prior[n - i] * inner[i]
                 for i in range(0, min(n, m) + 1)
             )
         return probs
@@ -466,7 +476,7 @@ def posterior_pgf_series(prior_intensity: Intensity, prior_card: CardinalityPgf,
                          options: CorrectorOptions = CorrectorOptions()) -> np.ndarray:
     """Posterior cardinality by the authoritative series route."""
     ws = _Workspace(prior_intensity, prior_card, measurements, model, options)
-    return ws.cardinality_series()
+    return np.array(ws.posterior_card.vector())
 
 
 def posterior_cardinality_closed_form(prior_intensity: Intensity, prior_card: CardinalityPgf,
@@ -484,13 +494,18 @@ def corrector_step(prior_intensity: Intensity, prior_card: CardinalityPgf,
     start = time.perf_counter()
     ws = _Workspace(prior_intensity, prior_card, measurements, model, options)
     intensity, clipped, warnings = ws.intensity_update()
-    cardinality = ws.cardinality_series()
+    cardinality = np.array(ws.posterior_card.vector())
     try:
         closed_form = ws.cardinality_closed_form()
     except SingularEvaluationError as exc:
         # Only the comparison route takes log G(0): report it, keep the step.
         closed_form = None
         warnings.append(f"closed-form cardinality unavailable: {exc}")
+    else:
+        p0 = prior_card.probs[0]
+        if len(measurements) and p0 < CLOSED_FORM_MIN_P0:
+            warnings.append(f"closed-form cardinality ill-conditioned: prior head P(0) = "
+                            f"{p0!r} is below {CLOSED_FORM_MIN_P0:g}")
     elapsed = time.perf_counter() - start
     route_deviation = None if closed_form is None else float(
         np.max(np.abs(cardinality - closed_form), initial=0.0))
@@ -520,6 +535,7 @@ def corrector_step(prior_intensity: Intensity, prior_card: CardinalityPgf,
         intensity=intensity,
         cardinality=cardinality,
         cardinality_closed_form=closed_form,
+        posterior_card=ws.posterior_card,
         coefficients=ws.table,
         diagnostics=diagnostics,
     )

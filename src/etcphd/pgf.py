@@ -1,10 +1,10 @@
 """Cardinality probability generating functions and truncated derivative series.
 
-Two p.g.f. families are supported: finite-support (a probability vector
-p_0..p_N, so the p.g.f. is a polynomial) and Poisson, which is kept analytic
-so that closed-form identities for its derivatives and log-derivatives hold
-to machine precision.  `Jet`, a truncated sequence of raw derivative values,
-multiplies two derivative sequences (a product of p.g.f.s) and takes logs.
+One family, a finite head times a Poisson factor, covers finite-support and
+Poisson distributions with one formula per quantity; the factor stays
+analytic, so its closed-form identities hold to machine precision.  `Jet`, a
+truncated sequence of raw derivative values, multiplies two derivative
+sequences (a product of p.g.f.s) and takes logs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import SingularEvaluationError
 
-MAX_SUPPORT = 31        # cardinality supports beyond n=31 are rejected
+MAX_SUPPORT = 31        # heads beyond n=31 are rejected, predicted ones cut
 SINGULAR_FLOOR = 1e-300
 
 
@@ -72,15 +72,13 @@ class Jet:
 
 @dataclass(frozen=True)
 class CardinalityPgf:
-    """A cardinality distribution with evaluable derivatives and log-derivatives.
-
-    kind 'finite': `probs` holds p_0..p_N (non-negative, summing to 1 within
-    1e-12).  kind 'poisson': `rate` >= 0 and the p.g.f. exp(rate*x - rate)
-    is evaluated analytically.
+    """A cardinality distribution G(y) = F(y) exp(rate (y - 1)), with
+    evaluable derivatives and log-derivatives: `probs` holds the finite head
+    f_0..f_K of F and `rate` >= 0 the Poisson factor's.  `finite(p)` has
+    rate 0, and `poisson(r)` the head (1,).
     """
 
-    kind: str
-    probs: tuple[float, ...] = ()
+    probs: tuple[float, ...] = (1.0,)
     rate: float = 0.0
 
     @staticmethod
@@ -97,84 +95,85 @@ class CardinalityPgf:
         total = math.fsum(p)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"finite-support probabilities sum to {total!r}, not 1")
-        return CardinalityPgf(kind="finite", probs=p)
+        return CardinalityPgf(probs=p)
 
     @staticmethod
     def poisson(rate: float) -> "CardinalityPgf":
         if rate < 0.0:
             raise ValueError(f"poisson rate must be non-negative, got {rate!r}")
-        return CardinalityPgf(kind="poisson", rate=float(rate))
+        return CardinalityPgf(rate=float(rate))
 
     @property
     def support_max(self) -> int | None:
-        """Largest n with P(n) > 0 representable; None for poisson."""
-        return None if self.kind == "poisson" else len(self.probs) - 1
+        """Largest n with P(n) > 0 representable; None with a Poisson factor."""
+        return None if self.rate else len(self.probs) - 1
 
-    def truncation_order(self, shift: int = 0) -> int:
-        """Highest order a series of this distribution keeps: the support of a
-        finite one, whatever the shift; for poisson, where the tail mass drops
-        below 1e-16, plus `shift` and a margin of two, within [4, MAX_SUPPORT]."""
-        if self.kind == "finite":
-            return self.support_max
-        cumulative = 0.0
-        for order in range(MAX_SUPPORT + 1):
-            cumulative += self.prob(order)
-            if 1.0 - cumulative < 1e-16:
-                break
-        return max(4, min(MAX_SUPPORT, order + shift + 2))
+    def truncation_order(self) -> int:
+        """Highest order a written vector keeps: the head's degree plus the first n
+        past the Poisson mode with tail bound pmf(n + 1) (n + 2) / (n + 2 - rate) < 1e-16."""
+        n, rate = int(self.rate), self.rate
+        while rate and (math.exp((n + 1) * math.log(rate) - rate - math.lgamma(n + 2))
+                        * (n + 2) / (n + 2 - rate)) >= 1e-16:
+            n += 1
+        return len(self.probs) - 1 + n
+
+    def vector(self, order: int | None = None) -> list[float]:
+        """[P(0), ..., P(order)]; `order` defaults to `truncation_order()`."""
+        order = self.truncation_order() if order is None else order
+        pmf = [self._poisson_pmf(n) for n in range(order + 1)]
+        return [math.fsum(f * pmf[n - k] for k, f in enumerate(self.probs[: n + 1]))
+                for n in range(order + 1)]
 
     def prob(self, n: int) -> float:
         if n < 0:
             return 0.0
-        if self.kind == "poisson":
-            if self.rate == 0.0:
-                return 1.0 if n == 0 else 0.0
-            return math.exp(n * math.log(self.rate) - self.rate - math.lgamma(n + 1))
-        return self.probs[n] if n < len(self.probs) else 0.0
+        return math.fsum(f * self._poisson_pmf(n - k) for k, f in enumerate(self.probs[: n + 1]))
+
+    def _poisson_pmf(self, n: int) -> float:
+        rate = self.rate
+        return math.exp(n * math.log(rate) - rate - math.lgamma(n + 1)) if rate else float(n == 0)
 
     def mean(self) -> float:
-        if self.kind == "poisson":
-            return self.rate
-        return math.fsum(n * p for n, p in enumerate(self.probs))
+        return math.fsum(n * p for n, p in enumerate(self.probs)) + self.rate
 
     def eval(self, x: float) -> float:
         """p.g.f. value; x may lie outside [0, 1] (needed for moment checks)."""
-        if self.kind == "poisson":
-            return math.exp(self.rate * x - self.rate)
         # Horner in descending powers.
         acc = 0.0
         for p in reversed(self.probs):
             acc = acc * x + p
-        return acc
+        return acc * math.exp(self.rate * x - self.rate)
 
     def derivatives_at(self, x0: float, k: int):
-        """[G(x0), G'(x0), ..., G^(k)(x0)]; exact for finite support, closed form for poisson."""
-        if self.kind == "poisson":
-            base = self.eval(x0)
+        """[G(x0), G'(x0), ..., G^(k)(x0)]: the Leibniz product of the head's
+        derivatives with rate^j exp(rate x0 - rate)."""
+        base = math.exp(self.rate * x0 - self.rate)
+        # Shortcuts to the general sum's floats: per-point tables evaluate the
+        # head (1,) at every grid point, log-derivatives a head of rate 0.
+        if self.probs == (1.0,):
             return [self.rate**j * base for j in range(k + 1)]
-        # G^(j)(x0) = sum_{n>=j} p_n * n!/(n-j)! * x0^(n-j)
-        return [math.fsum(self.probs[n] * math.perm(n, j) * x0 ** (n - j)
-                          for n in range(j, len(self.probs)))
+        # F^(i)(x0) = sum_{n>=i} f_n * n!/(n-i)! * x0^(n-i)
+        head = [math.fsum(self.probs[n] * math.perm(n, i) * x0 ** (n - i)
+                          for n in range(i, len(self.probs))) for i in range(k + 1)]
+        if not self.rate:
+            return head
+        return [math.fsum(math.comb(j, i) * head[i] * self.rate ** (j - i) * base
+                          for i in range(j + 1))
                 for j in range(k + 1)]
 
     def log_derivative_at(self, x0: float, i: int) -> float:
-        """i-th derivative of log G at x0 (i >= 1), via jet log of the derivative sequence.
-
-        Poisson is analytic: the first log-derivative is the rate, all higher
-        ones vanish, independent of x0.
-        """
+        """i-th derivative of log G at x0 (i >= 1), via jet log of the derivative sequence."""
         if i < 1:
             raise ValueError(f"log-derivative order must be >= 1, got {i}")
         return self.log_derivatives_at(x0, i)[i]
 
     def log_derivatives_at(self, x0: float, k: int):
-        """[log G(x0), (log G)'(x0), ..., (log G)^(k)(x0)] in one pass."""
-        if self.kind == "poisson":
-            head = [self.rate * x0 - self.rate, self.rate]
-            return head[: k + 1] + [0.0] * max(0, k - 1)
-        value = self.eval(x0)
-        if value < SINGULAR_FLOOR:
+        """[log G(x0), (log G)'(x0), ..., (log G)^(k)(x0)] in one pass: the
+        jet log of the head plus (rate x0 - rate, rate, 0, ...)."""
+        head = CardinalityPgf(self.probs).derivatives_at(x0, k)
+        if head[0] < SINGULAR_FLOOR:
             raise SingularEvaluationError(
-                f"p.g.f. value {value!r} at {x0!r} is too small for log-derivatives"
+                f"p.g.f. value {head[0]!r} at {x0!r} is too small for log-derivatives"
             )
-        return list(Jet(tuple(self.derivatives_at(x0, k))).log().coeffs)
+        factor = [self.rate * x0 - self.rate, self.rate] + [0.0] * k
+        return [a + b for a, b in zip(Jet(tuple(head)).log().coeffs, factor)]

@@ -40,11 +40,11 @@ class EtphdResult:
 
 
 def _require_poisson(model: SensorModel, prior_card: CardinalityPgf | None = None):
-    if model.clutter_card.kind != "poisson":
+    if model.clutter_card.probs != (1.0,):
         raise ModelMismatchError("ET-PHD reference requires poisson clutter cardinality")
-    if any(card.kind != "poisson" for card in model.meas_card):
+    if any(card.probs != (1.0,) for card in model.meas_card):
         raise ModelMismatchError("ET-PHD reference requires poisson measurement counts")
-    if prior_card is not None and prior_card.kind != "poisson":
+    if prior_card is not None and prior_card.probs != (1.0,):
         raise ModelMismatchError("ET-PHD reference requires a poisson prior cardinality")
 
 
@@ -123,7 +123,7 @@ class StdCphdResult:
 
 
 def _is_standard_target(card: CardinalityPgf) -> bool:
-    if card.kind != "finite" or len(card.probs) < 2:
+    if card.rate != 0.0 or len(card.probs) < 2:
         return False
     return card.probs[1] == 1.0 and all(
         p == 0.0 for i, p in enumerate(card.probs) if i != 1
@@ -160,8 +160,8 @@ def std_cphd_update(prior_intensity: Intensity, prior_card: CardinalityPgf,
     lam = [bracket(density, p_d * ratios[z]) for z in range(m)]
     esf_full = _elementary_symmetric(lam)
 
-    n_top = prior_card.truncation_order(m)
-    prior_probs = np.array([prior_card.prob(n) for n in range(n_top + 1)])
+    n_top = prior_card.truncation_order() + (m if prior_card.rate else 0)
+    prior_probs = np.array(prior_card.vector(n_top))
 
     def likelihood_row(n: int, shift: int, esf: np.ndarray, n_meas: int) -> float:
         terms = []

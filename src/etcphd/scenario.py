@@ -374,6 +374,7 @@ def step_result_from_dict(doc: dict) -> StepResult:
         cardinality=np.array(posterior["cardinality"], dtype=float),
         cardinality_closed_form=None if posterior["cardinality_closed_form"] is None
         else np.array(posterior["cardinality_closed_form"], dtype=float),
+        posterior_card=CardinalityPgf(tuple(map(float, posterior["cardinality"]))),
         coefficients=table,
         diagnostics=dict(doc["diagnostics"]),
     )

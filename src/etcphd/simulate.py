@@ -29,9 +29,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sample_count(rng: np.random.Generator, card: CardinalityPgf) -> int:
-    if card.kind == "poisson":
-        return int(rng.poisson(card.rate))
-    return int(rng.choice(len(card.probs), p=np.array(card.probs)))
+    """A head draw plus a Poisson draw, which consumes nothing at rate 0."""
+    count = int(rng.choice(len(card.probs), p=np.array(card.probs))) if len(card.probs) > 1 else 0
+    return count + int(rng.poisson(card.rate))
 
 
 def sample_iid_cluster(rng: np.random.Generator, card: CardinalityPgf, density) -> list:
@@ -53,9 +53,10 @@ def predict_step(posterior_intensity: np.ndarray, posterior_card: CardinalityPgf
     """Survival thinning plus birth: D' = p_S D + D_b, cardinality thinned
     binomially and convolved with the birth cardinality.
 
-    Returns (intensity, cardinality, warnings); the cardinality is cut at
-    MAX_SUPPORT, and a cut that loses more than 1e-6 of probability mass is
-    reported as a warning.
+    Returns (intensity, cardinality, warnings).  The cardinality's head is
+    the thinned head convolved with the birth head, less trailing entries
+    whose total is below 1e-16, and cut at MAX_SUPPORT; a cut that loses more
+    than 1e-6 of probability mass is reported as a warning.
     """
     if not 0.0 <= survival <= 1.0:
         raise ValueError(f"survival probability must lie in [0, 1], got {survival!r}")
@@ -65,18 +66,14 @@ def predict_step(posterior_intensity: np.ndarray, posterior_card: CardinalityPgf
     if birth_intensity is not None:
         intensity = intensity + np.asarray(birth_intensity, dtype=float)
 
-    # Thinning composes the p.g.f. with 1 - s + s x, so the survivors'
-    # P(n) = s^n G^(n)(1 - s) / n!: a poisson posterior stays poisson.
-    derivatives = posterior_card.derivatives_at(1.0 - survival, posterior_card.truncation_order())
+    # Thinning composes the p.g.f. with 1 - s + s x: the head's survivors have
+    # P(n) = s^n F^(n)(1 - s) / n!, and the Poisson factor's rate scales by s.
+    head = CardinalityPgf(posterior_card.probs)
+    derivatives = head.derivatives_at(1.0 - survival, len(head.probs) - 1)
     thinned = np.array([survival**n * g / math.factorial(n) for n, g in enumerate(derivatives)])
-
-    if birth_card is None:
-        birth_probs = np.array([1.0])
-    else:
-        top = birth_card.truncation_order()
-        birth_probs = np.array([birth_card.prob(n) for n in range(top + 1)])
-    combined = np.convolve(thinned, birth_probs)
-
+    birth_card = birth_card or CardinalityPgf()
+    combined = np.convolve(thinned, birth_card.probs)
+    combined = combined[: max(1, np.count_nonzero(np.cumsum(combined[::-1]) >= 1e-16))]
     if combined.size > MAX_SUPPORT + 1:
         lost = float(combined[MAX_SUPPORT + 1 :].sum())
         combined = combined[: MAX_SUPPORT + 1]
@@ -84,13 +81,12 @@ def predict_step(posterior_intensity: np.ndarray, posterior_card: CardinalityPgf
             warnings.append(
                 f"prediction truncation dropped {lost!r} probability mass at order {MAX_SUPPORT}"
             )
-    while combined.size > 1 and combined[-1] == 0.0:
-        combined = combined[:-1]
     total = float(combined.sum())
     if total <= 0.0:
         raise ValueError("prediction truncation removed all probability mass")
     combined = combined / total
-    return intensity, CardinalityPgf.finite(combined), warnings
+    rate = survival * posterior_card.rate + birth_card.rate
+    return intensity, CardinalityPgf(tuple(combined.tolist()), rate), warnings
 
 
 @dataclass
@@ -157,10 +153,5 @@ def simulate(scenario: Scenario, n_steps: int, seed: int) -> SimulationRun:
             )
         )
         intensity = Intensity.create(scenario.grid, result.intensity)
-        card = CardinalityPgf.finite(_renormalized(result.cardinality))
+        card = result.posterior_card
     return run
-
-
-def _renormalized(probs: np.ndarray) -> np.ndarray:
-    probs = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    return probs / probs.sum()

@@ -238,8 +238,8 @@ class SensorModel:
         """Read-only matrix gz[j, i] = j-th derivative of G_Z(. | x_i) at 0, j = 0..k."""
         table = self._gz_tables.get("at_zero")
         if table is None or table.shape[0] <= k:
-            # Per card, not by kind with numpy: numpy's vectorised exp and
-            # power may round differently from math.exp and float powers.
+            # Per card, not vectorised over cards: numpy's exp and power may
+            # round differently from math.exp and float powers.
             cols = [card.derivatives_at(0.0, k) for card in self.meas_card]
             table = _frozen_array(np.array(cols).T.copy() if cols else np.zeros((k + 1, 0)))
             self._gz_tables["at_zero"] = table

@@ -337,8 +337,8 @@ def exact_intensity_reference(ws):
     workspace's float eta, phi, prior and clutter derivatives.
 
     E_j(S) comes from the subset recursion, upsilon_j(T) from submask sums,
-    g_j = G^(j)(phi) from the prior probabilities (or, for poisson, from the
-    rate and the float G(phi)), coefficient V = sum_j g_(j+1)
+    g_j = G^(j)(phi) from the prior's head probabilities, its rate and the
+    float exp(rate (phi - 1)), coefficient V = sum_j g_(j+1)
     upsilon_j(Z - V) / N with N = sum_j g_j upsilon_j(Z), and kappa is the
     missed-detection coefficient less zeta_1 = G'(phi) / G(phi)."""
     m, full = len(ws.measurements), ws.full
@@ -375,13 +375,12 @@ def exact_intensity_reference(ws):
             sub = (sub - 1) & rest
 
     card, phi = ws.prior_card, Fraction(ws.phi)
-    if card.kind == "poisson":
-        rate, value = Fraction(card.rate), Fraction(card.eval(ws.phi))
-        g = [rate**j * value for j in range(m + 2)]
-    else:
-        probs = [Fraction(p) for p in card.probs]
-        g = [sum((probs[n] * math.perm(n, j) * phi ** (n - j)
-                  for n in range(j, len(probs))), Fraction(0)) for j in range(m + 2)]
+    probs, rate = [Fraction(p) for p in card.probs], Fraction(card.rate)
+    factor = Fraction(math.exp(card.rate * ws.phi - card.rate))
+    head = [sum((probs[n] * math.perm(n, i) * phi ** (n - i)
+                 for n in range(i, len(probs))), Fraction(0)) for i in range(m + 2)]
+    g = [factor * sum(math.comb(j, i) * head[i] * rate ** (j - i) for i in range(j + 1))
+         for j in range(m + 2)]
     whole = upsilon(full)
     normalizer = sum(gj * u for gj, u in zip(g, whole))
     coefficients = [sum(gj * u for gj, u in zip(g[1:], upsilon(full ^ detected))) / normalizer
@@ -557,21 +556,23 @@ def test_micro_scenario_measurement_count_leaves_the_draws_alone():
     assert forced.prior_card == default.prior_card
 
 
-@pytest.mark.parametrize("rate", [12.0, 20.0, 40.0])
-def test_truncated_poisson_cardinality_warns(rate):
-    """Large poisson priors lose cardinality mass once the truncation order
-    hits the support maximum; the step says so instead of staying silent."""
-    scenario = poisson_scenario(3, 4)
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("rate", [1.0, 4.0, 12.0, 20.0, 40.0, 80.0, 200.0])
+def test_poisson_prior_cardinality_normalizes(rate, n):
+    """The posterior of a poisson prior is a finite head times a Poisson
+    factor, so no tail is cut: at any rate the cardinality sums to 1, its
+    mean is the intensity mass, nothing warns, and the closed form agrees."""
+    scenario = poisson_scenario(3, n)
     values = scenario.prior_intensity.values * rate / scenario.prior_intensity.total_mass()
     result = corrector_step(Intensity.create(scenario.grid, values),
                             CardinalityPgf.poisson(rate), scenario.measurements,
                             scenario.model, scenario.options)
-    assert abs(result.diagnostics["cardinality_sum"] - 1.0) > 1e-10
-    warnings = result.diagnostics["warnings"]
-    assert any("posterior cardinality sums to" in w
-               and f"within {CARDINALITY_SUM_TOL:g}" in w for w in warnings)
-    assert any("differs from the intensity mass" in w
-               and f"more than {FIRST_MOMENT_TOL:g}" in w for w in warnings)
+    diagnostics = result.diagnostics
+    assert diagnostics["warnings"] == []
+    assert abs(diagnostics["cardinality_sum"] - 1.0) <= CARDINALITY_SUM_TOL
+    gap = diagnostics["posterior_mass"] - diagnostics["posterior_mean_from_cardinality"]
+    assert abs(gap) <= FIRST_MOMENT_TOL
+    assert diagnostics["route_max_deviation"] <= 1e-14
 
 
 def with_prior_mass_at_zero(scenario, p0):
@@ -598,11 +599,20 @@ def series_oracle_report(scenario, intensity, card, density):
 @pytest.mark.parametrize("p0", [0.0, 1e-12])
 def test_series_route_matches_oracle_at_small_prior_mass_at_zero(p0):
     """The series route divides by no prior probability, so P(0) = 0 (at
-    least one target) and P(0) = 1e-12 agree with the oracle like any prior."""
+    least one target) and P(0) = 1e-12 agree with the oracle like any prior.
+    The closed form does divide by P(0): the step reports it as unavailable
+    at 0 and as ill-conditioned at 1e-12."""
+    expected = ("closed-form cardinality unavailable: " if p0 == 0.0
+                else "closed-form cardinality ill-conditioned: ")
     for seed in range(30):
         scenario = micro_scenario(seed, 3)
-        report = series_oracle_report(scenario, *with_prior_mass_at_zero(scenario, p0))
+        intensity, card, density = with_prior_mass_at_zero(scenario, p0)
+        report = series_oracle_report(scenario, intensity, card, density)
         assert report["pass"], (seed, report)
+        result = corrector_step(intensity, card, scenario.measurements, scenario.model,
+                                scenario.options)
+        warnings = result.diagnostics["warnings"]
+        assert len(warnings) == 1 and warnings[0].startswith(expected), (seed, warnings)
 
 
 def test_closed_form_is_null_without_prior_mass_at_zero():
@@ -655,33 +665,46 @@ def test_finite_prior_at_the_support_maximum():
 
 
 def series_route_reference(ws):
-    """P(n) = p_n sum_j n!/(n-j)! phi^(n-j) upsilon_j / N at 50 digits, from
-    the workspace's size sums, clutter derivatives, phi and prior."""
+    """The posterior cardinality at 50 digits, from the workspace's size
+    sums, clutter derivatives, phi and prior G(y) = F(y) exp(mu (y - 1)).
+
+    The numerator sum_j upsilon_j x^j G^(j)(x phi) expands, by Leibniz on
+    G^(j), to exp(mu (x phi - 1)) times the polynomial whose x^(j + n - i)
+    coefficient sums upsilon_j C(j, i) mu^(j-i) f_n n!/(n-i)! phi^(n-i).
+    The head exp(mu (phi - 1)) H / N is convolved with the float pmf of the
+    posterior rate mu phi, taken as input like the prior's float head."""
     with mpmath.workdps(50):
         m = len(ws.measurements)
         clutter = ws.model.clutter_card.derivatives_at(0.0, m)
         upsilon = [mpmath.fsum(mpmath.mpf(clutter[m - len(ws.cell_of[rest])])
                                * mpmath.mpf(ws.size_sums[rest][j])
                                for rest in range(ws.full + 1)) for j in range(m + 1)]
-        phi, card = mpmath.mpf(ws.phi), ws.prior_card
-        prob = lambda n: mpmath.mpf(card.prob(n))  # noqa: E731
-        if card.kind == "poisson":
-            rate = mpmath.mpf(card.rate)
-            derivatives = [rate**j * mpmath.exp(rate * (phi - 1)) for j in range(m + 1)]
-        else:
-            derivatives = [mpmath.fsum(prob(n) * math.perm(n, j) * phi ** (n - j)
-                                       for n in range(j, card.support_max + 1))
-                           for j in range(m + 1)]
+        card, phi = ws.prior_card, mpmath.mpf(ws.phi)
+        f, mu = [mpmath.mpf(p) for p in card.probs], mpmath.mpf(card.rate)
+        factor = mpmath.exp(mu * (phi - 1))
+        head_derivatives = [mpmath.fsum(f[n] * math.perm(n, i) * phi ** (n - i)
+                                        for n in range(i, len(f))) for i in range(m + 1)]
+        derivatives = [factor * mpmath.fsum(math.comb(j, i) * head_derivatives[i] * mu ** (j - i)
+                                            for i in range(j + 1)) for j in range(m + 1)]
         normalizer = mpmath.fsum(g * u for g, u in zip(derivatives, upsilon))
-        return [float(prob(n) * mpmath.fsum(math.perm(n, j) * phi ** (n - j) * upsilon[j]
-                                            for j in range(min(n, m) + 1)) / normalizer)
-                for n in range(ws.posterior_order() + 1)]
+        head = [mpmath.mpf(0)] * (len(f) + m)
+        for j in range(m + 1):
+            for i in range(j + 1):
+                for n in range(i, len(f)):
+                    head[j + n - i] += (upsilon[j] * math.comb(j, i) * mu ** (j - i)
+                                        * f[n] * math.perm(n, i) * phi ** (n - i))
+        order = ws.posterior_card.truncation_order()
+        pmf = [mpmath.mpf(p) for p in CardinalityPgf.poisson(card.rate * ws.phi).vector(order)]
+        return [float(factor * mpmath.fsum(head[k] * pmf[n - k]
+                                           for k in range(min(n, len(head) - 1) + 1)) / normalizer)
+                for n in range(order + 1)]
 
 
 def test_series_route_matches_high_precision_sum(monkeypatch):
-    """The series route is one Leibniz product per step and lies within
-    1.1e-16 of the same sum at 50 digits: the scan prior, support-31 priors
-    at |Z| = 7 and a poisson prior."""
+    """The series route takes one Leibniz product per shift of the head
+    (one without a Poisson factor, |Z| + 1 with one) and lies within 1.1e-16
+    of the same sum at 50 digits: the scan prior, support-31 priors at
+    |Z| = 7 and a poisson prior."""
     products = []
 
     def counting_mul(self, other, mul=Jet.__mul__):
@@ -697,8 +720,8 @@ def test_series_route_matches_high_precision_sum(monkeypatch):
         ws = _Workspace(scenario.prior_intensity, card or scenario.prior_card,
                         scenario.measurements, scenario.model, scenario.options)
         products.clear()
-        series = ws.cardinality_series()
-        assert len(products) == 1
+        series = np.array(ws.posterior_card.vector())
+        assert len(products) == (len(scenario.measurements) + 1 if ws.prior_card.rate else 1)
         assert np.max(np.abs(series - series_route_reference(ws))) <= 1.1e-16
 
 

@@ -185,15 +185,25 @@ def test_partition_sum_of_log_derivatives_recovers_moments():
 
 
 def test_truncation_order():
-    """Poisson series are cut where the tail drops below 1e-16, plus the
-    shift and a margin of two, within [4, 31]; finite ones at their support."""
-    expected = {(0.0, 0): 4, (0.0, 8): 10, (0.5, 0): 16, (0.5, 8): 24, (4.0, 0): 31,
-                (4.0, 8): 31, (12.0, 0): 31, (12.0, 8): 31, (40.0, 0): 31, (40.0, 8): 31}
-    for (rate, shift), order in expected.items():
-        assert CardinalityPgf.poisson(rate).truncation_order(shift) == order
-    for probs in ([1.0], [0.2, 0.8], [0.5, 0.0, 0.5, 0.0], [0.0] * 31 + [1.0]):
-        for shift in (0, 8):
-            assert CardinalityPgf.finite(probs).truncation_order(shift) == len(probs) - 1
+    """The head's degree plus the first order past the Poisson mode whose
+    tail bound drops below 1e-16: at 40 digits the tail beyond that order is
+    below 1e-16, and the tail beyond the order before it is not."""
+    expected = {0.0: 0, 0.5: 14, 1.0: 17, 4.0: 29, 12.0: 50, 40.0: 102, 200.0: 327}
+    for rate, order in expected.items():
+        assert CardinalityPgf.poisson(rate).truncation_order() == order
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(rate)
+
+            def tail(n):
+                return 1 - mpmath.fsum(mpmath.exp(-lam) * lam**k / mpmath.factorial(k)
+                                       for k in range(n + 1))
+
+            assert tail(order) < 1e-16
+            assert order == 0 or tail(order - 1) >= 1e-16
+        for head in ([1.0], [0.2, 0.8], [0.5, 0.0, 0.5, 0.0], [0.0] * 31 + [1.0]):
+            card = CardinalityPgf(tuple(head), rate)
+            assert card.truncation_order() == len(head) - 1 + order
+    assert CardinalityPgf.finite([0.2, 0.8]) == CardinalityPgf((0.2, 0.8), 0.0)
 
 
 def test_finite_support_cap():

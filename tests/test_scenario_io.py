@@ -4,6 +4,7 @@ import pytest
 
 from etcphd.corrector import corrector_step
 from etcphd.errors import ValidationError
+from etcphd.pgf import CardinalityPgf
 from etcphd.scenario import (
     dump_json,
     load_scenario,
@@ -17,7 +18,7 @@ from etcphd.scenario import (
 def test_golden_fixture_loads(scenarios_dir):
     scenario = load_scenario(scenarios_dir / "poisson_small.json")
     assert scenario.grid.size == 3
-    assert scenario.prior_card.kind == "poisson"
+    assert scenario.prior_card == CardinalityPgf(probs=(1.0,), rate=1.0)
     assert len(scenario.steps) == 1
     assert scenario.measurements.values == (0, 2)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 from fractions import Fraction
 
@@ -6,10 +7,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from etcphd.corrector import CARDINALITY_SUM_TOL, FIRST_MOMENT_TOL
+from etcphd.corrector import (
+    CARDINALITY_SUM_TOL,
+    CLOSED_FORM_MIN_P0,
+    FIRST_MOMENT_TOL,
+    corrector_step,
+)
 from etcphd.pgf import MAX_SUPPORT, CardinalityPgf
 from etcphd.scenario import BirthSpec, SimulationSpec, load_scenario, step_result_to_dict, dump_json
-from etcphd.simulate import make_rng, predict_step, sample_iid_cluster, simulate
+from etcphd.simulate import make_rng, predict_step, sample_count, sample_iid_cluster, simulate
 from etcphd.statespace import Intensity, MeasurementSet
 from etcphd.synthetic import performance_scenario
 
@@ -45,6 +51,15 @@ def test_sample_frequencies_chi_square():
     total_values = value_hist.sum()
     _, p_values = stats.chisquare(value_hist, total_values * density)
     assert p_values > 1e-4
+
+    # A head times a Poisson factor: counts above 7 share the last bin.
+    card = CardinalityPgf((0.2, 0.5, 0.3), 1.5)
+    draws = 20_000
+    counts = np.bincount([min(sample_count(rng, card), 8) for _ in range(draws)], minlength=9)
+    probs = card.vector(7)
+    expected = draws * np.array(probs + [1.0 - math.fsum(probs)])
+    _, p_counts = stats.chisquare(counts, expected)
+    assert p_counts > 1e-4
 
 
 def test_predict_identity():
@@ -99,23 +114,21 @@ def test_predict_thinning_matches_exact_binomial():
     for rate in (0.5, 2.0, 4.0):
         for survival in (0.0, 0.5, 0.95, 1.0, float(rng.uniform())):
             _, out, _ = predict_step(np.array([rate]), CardinalityPgf.poisson(rate), survival)
-            thinned = CardinalityPgf.poisson(rate * survival)
-            expected = [thinned.prob(n) for n in range(len(out.probs))]
-            assert np.max(np.abs(np.array(out.probs) - expected)) <= 1e-15, (rate, survival)
+            assert out == CardinalityPgf.poisson(survival * rate), (rate, survival)
 
 
 def test_predict_truncation_warns():
-    """Births push half the mass past the support maximum: the cut at
-    MAX_SUPPORT drops P(1 + Poisson(1) birth >= 1) / 2 and warns."""
+    """A finite birth pushes a quarter of the mass past the head's maximum:
+    the cut at MAX_SUPPORT drops it and warns."""
     probs = [0.0] * (MAX_SUPPORT + 1)
     probs[1] = probs[MAX_SUPPORT] = 0.5
     _, out_card, warnings = predict_step(np.array([1.0]), CardinalityPgf.finite(probs),
                                          survival=1.0, birth_intensity=np.array([1.0]),
-                                         birth_card=CardinalityPgf.poisson(1.0))
+                                         birth_card=CardinalityPgf.finite([0.5, 0.5]))
     assert len(warnings) == 1
     assert warnings[0].endswith(f"probability mass at order {MAX_SUPPORT}")
     lost = float(warnings[0].split()[3])
-    assert lost == pytest.approx(0.5 * (1.0 - math.exp(-1.0)), rel=1e-12)
+    assert lost == 0.25
     assert len(out_card.probs) == MAX_SUPPORT + 1
     assert math.fsum(out_card.probs) == pytest.approx(1.0, abs=1e-15)
 
@@ -160,9 +173,21 @@ def test_simulate_different_seed_differs(scenarios_dir):
     assert runs[0] != runs[1]
 
 
-def test_high_survival_prediction_normalizes():
+def test_high_survival_prediction_normalizes(monkeypatch):
     """At survival 0.95 the predicted cardinality keeps little mass at zero;
-    the series route needs none, so both steps normalize without warnings."""
+    the series route needs none, so 20 scans normalize.  The only warning is
+    the closed form's, exactly on the scans whose prior head has P(0) below
+    CLOSED_FORM_MIN_P0.  Each predicted prior stays in the family, with the
+    Poisson factor's rate 0.95 mu phi + 1 from the last posterior's mu phi."""
+    # importlib: the package's `simulate` attribute is the function.
+    simulate_module = importlib.import_module("etcphd.simulate")
+    priors = []
+
+    def recording_step(intensity, card, *args):
+        priors.append(card)
+        return corrector_step(intensity, card, *args)
+
+    monkeypatch.setattr(simulate_module, "corrector_step", recording_step)
     scenario = performance_scenario(5, seed=0)
     mass = scenario.prior_intensity.total_mass()
     scenario.prior_intensity = Intensity.create(
@@ -173,11 +198,20 @@ def test_high_survival_prediction_normalizes():
         birth=BirthSpec(intensity=scenario.prior_intensity.values / 4.0,
                         cardinality=CardinalityPgf.poisson(1.0)),
     )
-    scenario.steps = [MeasurementSet.of([0, 3, 5]), MeasurementSet.of([1, 1, 4, 2, 0, 5])]
-    run = simulate(scenario, n_steps=2, seed=0)
-    for step in run.steps:
+    scenario.steps = [MeasurementSet.of([0, 3, 5]), MeasurementSet.of([1, 1, 4, 2, 0, 5])] * 10
+    run = simulate(scenario, n_steps=20, seed=0)
+    assert len(priors) == len(run.steps) == 20
+    for index, step in enumerate(run.steps):
         diagnostics = step.result.diagnostics
-        assert diagnostics["warnings"] == []
+        ill_conditioned = priors[index].probs[0] < CLOSED_FORM_MIN_P0
+        assert len(diagnostics["warnings"]) == ill_conditioned
+        assert all(w.startswith("closed-form cardinality ill-conditioned: ")
+                   for w in diagnostics["warnings"])
         assert abs(diagnostics["cardinality_sum"] - 1.0) <= CARDINALITY_SUM_TOL
         gap = diagnostics["posterior_mass"] - diagnostics["posterior_mean_from_cardinality"]
         assert abs(gap) <= FIRST_MOMENT_TOL
+        posterior = step.result.posterior_card
+        assert posterior.rate == priors[index].rate * step.result.coefficients.phi
+        if index:
+            previous = run.steps[index - 1].result.posterior_card
+            assert priors[index].rate == 0.95 * previous.rate + 1.0
