@@ -10,11 +10,10 @@ routes.  The table is built from four layers:
              zeta_prior^(|Q|)(phi) * (product of eta over the cells of Q)
   omega[P]   normalized products of beta over the cells of each partition
 
-Every partition sum except omega's runs through `partitions.partition_sums`
-in a ring of its own: cell-counting polynomials for the size sums
-(size_sums[S][j] sums the eta products over the partitions of S into j
-cells) and plain sequences for the closed form.  Omega, which result files
-carry in full, is enumerated; so are the reference functions below.
+One subset kernel, `partitions.partition_sums` on cell-counting
+polynomials, gives size_sums[S][j], the sum of the eta products over the
+partitions of S into j cells; the rest is read off them.  Omega, which
+result files carry in full, is enumerated, as are the reference functions.
 
 Every output a caller consumes comes from sums of non-negative terms (the
 Faa di Bruno form of the standard CPHD), with raw clutter derivatives
@@ -29,11 +28,10 @@ for a finite prior, one Leibniz product of the derivative sequences of
 sum_j upsilon_j x^j and exp(phi x), and a prior rate mu adds one per shift.
 Beta, omega, kappa, the normalizer and the zeta tables are the paper's
 quantities, reported; kappa is read off the same sums.  The closed-form
-route implements the published expression verbatim and is reported
-alongside with its deviation, because its cell-derivative step drops
-chain-rule terms for non-poisson priors.  It takes log-derivatives of the
-prior at zero, so for a prior without mass at zero the step reports it as
-None with a warning.
+route, the published expression, is reported with its deviation: its cell
+derivatives drop chain-rule terms for non-poisson priors.  By the
+exponential formula it too is read off upsilon_j(Z), weighted by
+j! p_j / p_0, so without prior mass at zero the step reports it as None.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .partitions import Cell, Partition, partition_sums, partitions_of, subpartitions_of
-from .pgf import CardinalityPgf, Jet
+from .pgf import SINGULAR_FLOOR, CardinalityPgf, Jet
 from .statespace import (
     Intensity,
     MeasurementSet,
@@ -425,34 +423,33 @@ class _Workspace:
 
     # -- cardinality, closed-form route -------------------------------------
 
-    def cardinality_closed_form(self) -> np.ndarray:
-        """Published closed form, implemented verbatim as the comparison route.
+    def cardinality_closed_form(self) -> tuple[np.ndarray, str | None]:
+        """Published closed form, the comparison route, and its caveat.
 
-        Per cell the derivative factor keeps only sub-partitions whose cell
-        count equals the derivative order (the chain-rule remainder is
-        dropped, which is exact for poisson priors); cells combine by plain
-        convolution over derivative orders, partitions by summation.  The
-        vector ends where the series route's does.
+        Each cell keeps only the sub-partitions whose cell count equals the
+        derivative order (exact for poisson priors).  By the exponential
+        formula the published partition sum then collapses onto upsilon:
+        P(n) = sum_j phi^(n-j) p_(n-j) r_j upsilon_j / N, with
+        r_j = j! p_j / p_0 = sum_k perm(j, k) f_k mu^(j-k) / f_0 from the head
+        and the rate (no division by exp(-mu)).  The division by f_0 raises
+        below SINGULAR_FLOOR and is flagged below CLOSED_FORM_MIN_P0.
         """
         m = len(self.measurements)
-        order = self.posterior_card.truncation_order()
-        zeta0 = self.prior_card.log_derivatives_at(0.0, m) if m > 0 else None
-
-        sequences = [_poly(m, 1.0)] + [None] * self.full
-        for mask in self.cells:
-            sums, size = self.size_sums[mask], len(self.cell_of[mask])
-            sequences[mask] = _poly(
-                m, self.zeta_clutter[size], *(sums[q] * zeta0[q] for q in range(1, size + 1)))
-        inner = partition_sums(sequences, _poly_mul, _poly_total)[self.full].tolist()
-        scale = 1.0 / (self.prior_card.eval(self.phi) * self.normalizer)
-        prior = self.prior_card.vector(order)
-        probs = np.zeros(order + 1)
-        for n in range(order + 1):
-            probs[n] = scale * math.fsum(
-                self.phi ** (n - i) * prior[n - i] * inner[i]
-                for i in range(0, min(n, m) + 1)
-            )
-        return probs
+        f, mu = self.prior_card.probs, self.prior_card.rate
+        caveat = None
+        if m and f[0] < CLOSED_FORM_MIN_P0:
+            if f[0] < SINGULAR_FLOOR:
+                raise SingularEvaluationError(f"it divides by the prior head P(0) = {f[0]!r}")
+            caveat = (f"closed-form cardinality ill-conditioned: prior head P(0) = "
+                      f"{f[0]!r} is below {CLOSED_FORM_MIN_P0:g}")
+        weights = [self.upsilon[0]] + [math.fsum(
+            math.perm(j, k) * f[k] * mu ** (j - k) for k in range(min(j, len(f) - 1) + 1))
+            / f[0] * self.upsilon[j] for j in range(1, m + 1)]
+        prior = self.prior_card.vector(self.posterior_card.truncation_order())
+        probs = np.array([math.fsum(self.phi ** (n - j) * prior[n - j] * weights[j]
+                                    for j in range(min(n, m) + 1))
+                          for n in range(len(prior))]) / self.card_normalizer
+        return probs, caveat
 
 
 def coefficient_table(prior_intensity: Intensity, prior_card: CardinalityPgf,
@@ -484,7 +481,7 @@ def posterior_cardinality_closed_form(prior_intensity: Intensity, prior_card: Ca
                                     options: CorrectorOptions = CorrectorOptions()) -> np.ndarray:
     """Posterior cardinality by the published closed form (comparison route)."""
     ws = _Workspace(prior_intensity, prior_card, measurements, model, options)
-    return ws.cardinality_closed_form()
+    return ws.cardinality_closed_form()[0]
 
 
 def corrector_step(prior_intensity: Intensity, prior_card: CardinalityPgf,
@@ -496,16 +493,12 @@ def corrector_step(prior_intensity: Intensity, prior_card: CardinalityPgf,
     intensity, clipped, warnings = ws.intensity_update()
     cardinality = np.array(ws.posterior_card.vector())
     try:
-        closed_form = ws.cardinality_closed_form()
+        closed_form, caveat = ws.cardinality_closed_form()
     except SingularEvaluationError as exc:
-        # Only the comparison route takes log G(0): report it, keep the step.
-        closed_form = None
-        warnings.append(f"closed-form cardinality unavailable: {exc}")
-    else:
-        p0 = prior_card.probs[0]
-        if len(measurements) and p0 < CLOSED_FORM_MIN_P0:
-            warnings.append(f"closed-form cardinality ill-conditioned: prior head P(0) = "
-                            f"{p0!r} is below {CLOSED_FORM_MIN_P0:g}")
+        # Only the comparison route divides by P(0): report it, keep the step.
+        closed_form, caveat = None, f"closed-form cardinality unavailable: {exc}"
+    if caveat:
+        warnings.append(caveat)
     elapsed = time.perf_counter() - start
     route_deviation = None if closed_form is None else float(
         np.max(np.abs(cardinality - closed_form), initial=0.0))

@@ -93,14 +93,14 @@ class CardinalityPgf:
         if any(v < 0.0 for v in p):
             raise ValueError("finite-support p.g.f. has a negative probability")
         total = math.fsum(p)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"finite-support probabilities sum to {total!r}, not 1")
         return CardinalityPgf(probs=p)
 
     @staticmethod
     def poisson(rate: float) -> "CardinalityPgf":
-        if rate < 0.0:
-            raise ValueError(f"poisson rate must be non-negative, got {rate!r}")
+        if not math.isfinite(rate) or rate < 0.0:
+            raise ValueError(f"poisson rate must be finite and non-negative, got {rate!r}")
         return CardinalityPgf(rate=float(rate))
 
     @property

@@ -27,6 +27,9 @@ from .statespace import (
     StateGrid,
 )
 
+# Largest Poisson rate a scenario may give: its written vector has 1,272 entries.
+MAX_RATE = 1e3
+
 
 @dataclass
 class BirthSpec:
@@ -70,12 +73,17 @@ def _as_floats(raw, path, errors, length=None, low=None, high=None):
     if length is not None and len(values) != length:
         errors.append(f"{path}: expected length {length}, got {len(values)}")
         return None
+    if not all(map(math.isfinite, values)):
+        errors.extend(f"{path}[{i}]: value {v!r} is not finite"
+                      for i, v in enumerate(values) if not math.isfinite(v))
+        return None
+    before = len(errors)
     for i, v in enumerate(values):
         if low is not None and v < low:
             errors.append(f"{path}[{i}]: value {v!r} below {low}")
         if high is not None and v > high:
             errors.append(f"{path}[{i}]: value {v!r} above {high}")
-    return values
+    return values if len(errors) == before else None
 
 
 def _normalized(values, path, errors, tolerance=1e-9):
@@ -89,8 +97,8 @@ def _normalized(values, path, errors, tolerance=1e-9):
 def _cardinality_from(raw, path, errors) -> CardinalityPgf | None:
     if isinstance(raw, dict) and "poisson" in raw:
         rate = raw["poisson"]
-        if not isinstance(rate, (int, float)) or rate < 0:
-            errors.append(f"{path}.poisson: rate must be a non-negative number")
+        if not isinstance(rate, (int, float)) or not 0 <= rate <= MAX_RATE:
+            errors.append(f"{path}.poisson: rate {rate!r} is not a number in [0, {MAX_RATE:g}]")
             return None
         return CardinalityPgf.poisson(float(rate))
     values = _as_floats(raw, path, errors, low=0.0)
@@ -170,7 +178,7 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
         card_doc = sensor_doc.get("target_cardinality")
         if isinstance(card_doc, dict) and "poisson" in card_doc:
             gammas = _as_floats(card_doc["poisson"], "sensor.target_cardinality.poisson",
-                                errors, length=n_points or None, low=0.0)
+                                errors, length=n_points or None, low=0.0, high=MAX_RATE)
             if gammas is not None:
                 meas_cards = [CardinalityPgf.poisson(g) for g in gammas]
         elif isinstance(card_doc, list):

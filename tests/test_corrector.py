@@ -15,6 +15,9 @@ from etcphd.corrector import (
     CARDINALITY_SUM_TOL,
     FIRST_MOMENT_TOL,
     CorrectorOptions,
+    _poly,
+    _poly_mul,
+    _poly_total,
     _Workspace,
     cell_coefficient,
     cell_detection_mass,
@@ -616,9 +619,9 @@ def test_series_route_matches_oracle_at_small_prior_mass_at_zero(p0):
 
 
 def test_closed_form_is_null_without_prior_mass_at_zero():
-    """The closed form takes log-derivatives of the prior at zero, so with
-    P(0) = 0 the step reports that route as null with a warning, while the
-    series route and the intensity still match the oracle."""
+    """The closed form divides by the prior's P(0), so with P(0) = 0 the
+    step reports that route as null with a warning, while the series route
+    and the intensity still match the oracle."""
     intensity, _, measurements, model = coherent_two_point()
     card = CardinalityPgf.finite([0.0, 0.5, 0.5])
     _, density = normalize_intensity(intensity)
@@ -644,6 +647,99 @@ def test_closed_form_is_null_without_prior_mass_at_zero():
     parsed = step_result_from_dict(doc).result
     assert parsed.cardinality_closed_form is None
     assert parsed.diagnostics["route_max_deviation"] is None
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("p0", [1e-50, 1e-100, 1e-160, 1e-300])
+def test_closed_form_at_tiny_prior_mass_at_zero(p0, n):
+    """The closed form's values grow as 1/P(0), but stay finite down to
+    P(0) = 1e-300: the step completes with one ill-conditioned warning, and
+    the series route normalizes as at any P(0)."""
+    scenario = mixed_scenario(0, n)
+    intensity, card, _ = with_prior_mass_at_zero(scenario, p0)
+    result = corrector_step(intensity, card, scenario.measurements, scenario.model,
+                            scenario.options)
+    diagnostics = result.diagnostics
+    warnings = diagnostics["warnings"]
+    assert len(warnings) == 1, warnings
+    assert warnings[0].startswith("closed-form cardinality ill-conditioned: ")
+    assert np.all(np.isfinite(result.cardinality_closed_form))
+    assert abs(diagnostics["cardinality_sum"] - 1.0) <= CARDINALITY_SUM_TOL
+    gap = diagnostics["posterior_mass"] - diagnostics["posterior_mean_from_cardinality"]
+    assert abs(gap) <= FIRST_MOMENT_TOL
+
+
+def test_closed_form_at_a_large_poisson_rate():
+    """At rate 800 the prior's P(0) = exp(-800) underflows to 0.0, but the
+    closed form divides only by the head's P(0), which is 1: the route stays
+    available and agrees with the series route."""
+    scenario = poisson_scenario(3, 4)
+    rate = 800.0
+    values = scenario.prior_intensity.values * rate / scenario.prior_intensity.total_mass()
+    result = corrector_step(Intensity.create(scenario.grid, values),
+                            CardinalityPgf.poisson(rate), scenario.measurements,
+                            scenario.model, scenario.options)
+    assert result.diagnostics["warnings"] == []
+    assert result.cardinality_closed_form is not None
+    assert result.diagnostics["route_max_deviation"] <= 1e-10
+
+
+def verbatim_closed_form(ws):
+    """The published closed form evaluated as written, the reference for the
+    workspace's: per cell W the sequence (zeta_FA^(|W|)(0), E_1(W) zeta0[1],
+    ..., E_|W|(W) zeta0[|W|]), with zeta0 the prior's log-derivatives at
+    zero, multiplied by convolution over the cells of every partition of Z
+    (the subset kernel), then convolved with phi^i p_i and scaled by
+    1 / (G(phi) normalizer)."""
+    m = len(ws.measurements)
+    zeta0 = ws.prior_card.log_derivatives_at(0.0, m) if m else None
+    sequences = [_poly(m, 1.0)] + [None] * ws.full
+    for mask in ws.cells:
+        sums, size = ws.size_sums[mask], len(ws.cell_of[mask])
+        sequences[mask] = _poly(
+            m, ws.zeta_clutter[size], *(sums[q] * zeta0[q] for q in range(1, size + 1)))
+    inner = partition_sums(sequences, _poly_mul, _poly_total)[ws.full].tolist()
+    scale = 1.0 / (ws.prior_card.eval(ws.phi) * ws.normalizer)
+    order = ws.posterior_card.truncation_order()
+    prior = ws.prior_card.vector(order)
+    return np.array([scale * math.fsum(ws.phi ** (n - i) * prior[n - i] * inner[i]
+                                       for i in range(min(n, m) + 1))
+                     for n in range(order + 1)])
+
+
+def closed_form_cases():
+    for seed in range(20):
+        for n in (0, 1, 3, 5, 6):
+            yield mixed_scenario(seed, n), None
+        yield micro_scenario(seed), None
+    for seed in range(10):
+        for n in (4, 8):
+            yield poisson_scenario(seed, n), None
+    for n in range(1, 9):
+        yield performance_scenario(n), None
+    for rate in (1.0, 12.0, 40.0, 200.0, 800.0):
+        yield poisson_scenario(3, 4), rate
+
+
+def test_closed_form_matches_the_verbatim_sequence_route():
+    """The closed form read off upsilon_j (the exponential formula) agrees
+    with the published partition sum over log-derivative sequences within
+    1e-13 on every case whose prior head has P(0) >= 1e-2."""
+    checked = 0
+    for scenario, rate in closed_form_cases():
+        intensity, card = scenario.prior_intensity, scenario.prior_card
+        if rate is not None:
+            intensity = Intensity.create(
+                scenario.grid, intensity.values * rate / intensity.total_mass())
+            card = CardinalityPgf.poisson(rate)
+        if card.probs[0] < 1e-2:
+            continue
+        ws = _Workspace(intensity, card, scenario.measurements, scenario.model,
+                        scenario.options)
+        closed_form, _ = ws.cardinality_closed_form()
+        assert np.max(np.abs(closed_form - verbatim_closed_form(ws))) <= 1e-13
+        checked += 1
+    assert checked >= 100
 
 
 def test_finite_prior_at_the_support_maximum():

@@ -218,3 +218,11 @@ def test_finite_validation():
         CardinalityPgf.finite([-0.1, 1.1])
     with pytest.raises(ValueError):
         CardinalityPgf.poisson(-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_parameters_rejected(value):
+    with pytest.raises(ValueError):
+        CardinalityPgf.poisson(value)
+    with pytest.raises(ValueError):
+        CardinalityPgf.finite([0.5, value])

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -6,6 +7,7 @@ from etcphd.corrector import corrector_step
 from etcphd.errors import ValidationError
 from etcphd.pgf import CardinalityPgf
 from etcphd.scenario import (
+    MAX_RATE,
     dump_json,
     load_scenario,
     scenario_from_dict,
@@ -92,6 +94,48 @@ def test_unknown_option_rejected():
     with pytest.raises(ValidationError) as excinfo:
         scenario_from_dict(doc)
     assert "options.n_max: unknown option" in excinfo.value.violations
+
+
+@pytest.mark.parametrize("where, value, path", [
+    (("sensor", "clutter", "cardinality"), {"poisson": math.nan}, "sensor.clutter.cardinality"),
+    (("prior", "cardinality"), {"poisson": math.nan}, "prior.cardinality"),
+    (("prior", "cardinality"), {"poisson": math.inf}, "prior.cardinality"),
+    (("prior", "cardinality"), [0.5, math.nan], "prior.cardinality[1]"),
+    (("prior", "intensity"), [0.5, math.inf], "prior.intensity[1]"),
+    (("sensor", "p_d"), [math.nan, 0.5], "sensor.p_d[0]"),
+    (("sensor", "target_cardinality"), {"poisson": [1.0, math.inf]},
+     "sensor.target_cardinality.poisson[1]"),
+])
+def test_non_finite_numbers_rejected(where, value, path):
+    """NaN and Infinity, which JSON parsers accept, are violations that name
+    their field, not a NaN posterior or a bare ValueError."""
+    doc = base_doc()
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(json.loads(json.dumps(doc)))
+    assert any(v.startswith(path) for v in excinfo.value.violations), excinfo.value.violations
+
+
+def test_rates_above_the_maximum_rejected():
+    """Poisson rates lie in [0, MAX_RATE]; a negative per-point rate is a
+    violation too, not a bare ValueError from the p.g.f."""
+    doc = base_doc()
+    doc["prior"]["cardinality"] = {"poisson": MAX_RATE}
+    assert scenario_from_dict(doc).prior_card == CardinalityPgf.poisson(MAX_RATE)
+    doc["prior"]["cardinality"] = {"poisson": 1e17}
+    doc["sensor"]["clutter"]["cardinality"] = {"poisson": 2 * MAX_RATE}
+    doc["sensor"]["target_cardinality"] = {"poisson": [-1.0, 2 * MAX_RATE]}
+    doc["simulation"] = {"birth": {"intensity": [0.5, 0.5],
+                                   "cardinality": {"poisson": 2 * MAX_RATE}}}
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(doc)
+    for path in ("prior.cardinality.poisson", "sensor.clutter.cardinality.poisson",
+                 "sensor.target_cardinality.poisson[0]", "sensor.target_cardinality.poisson[1]",
+                 "simulation.birth.cardinality.poisson"):
+        assert any(v.startswith(path) for v in excinfo.value.violations), path
 
 
 def test_measurement_index_bounds_checked():
