@@ -71,21 +71,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
-    """The measurement-count cap of the subcommands that run a scenario."""
-    parser.add_argument("--max-z", type=int, dest="max_z",
-                        help="raise the measurement-count cap (see --acknowledge-cost)")
-    parser.add_argument("--acknowledge-cost", action="store_true",
-                        help="accept the Bell-number cost of a raised cap")
+    """The measurement-count limit of the subcommands that run a scenario."""
+    parser.add_argument("--max-z", type=_count, dest="max_z",
+                        help="measurement-count limit of a step, in place of the scenario's "
+                             "max_z (default 8); a step enumerates Bell(|Z|) partitions")
+
+
+def _count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return int(text)
 
 
 def _apply_options(scenario, args):
-    updates = {}
     if args.max_z is not None:
-        updates["max_measurements"] = args.max_z
-    if args.acknowledge_cost:
-        updates["acknowledge_cost"] = True
-    scenario.options = dataclasses.replace(scenario.options, **updates)
-    scenario.options.effective_cap()
+        scenario.options = dataclasses.replace(scenario.options, max_measurements=args.max_z)
     return scenario
 
 
@@ -200,7 +200,7 @@ def _cmd_inspect(args) -> int:
         print(f"  {cell}: {value!r}")
     print("omega per partition (canonical order):")
     for partition, weight in table.omega.items():
-        cells = " | ".join(str(list(cell)) for cell in partition.cells)
+        cells = " | ".join(str(list(cell)) for cell in partition)
         print(f"  {{{cells}}}: {weight!r}")
     return EXIT_OK
 

@@ -49,9 +49,17 @@ from .errors import (
     DivisionSingularityError,
     NumericalOverflowError,
     SingularEvaluationError,
-    ValidationError,
+    SizeLimitError,
 )
-from .partitions import Cell, Partition, partition_sums, partitions_of, subpartitions_of
+from .partitions import (
+    BELL_MAX,
+    Cell,
+    Partition,
+    bell_number,
+    partition_sums,
+    partitions_of,
+    subpartitions_of,
+)
 from .pgf import SINGULAR_FLOOR, CardinalityPgf, Jet
 from .statespace import (
     Intensity,
@@ -85,22 +93,13 @@ def normalization_record(diagnostics: Mapping) -> dict:
 class CorrectorOptions:
     """Knobs for one corrector step.
 
-    Raising `max_measurements` above 8 multiplies the Bell-number cost and
-    requires `acknowledge_cost=True`.
+    A step on more than `max_measurements` measurements raises
+    SizeLimitError before any work: omega enumerates all Bell(|Z|)
+    partitions.  Raising the limit (scenario key `max_z`, flag `--max-z`)
+    is itself the acceptance of that cost.
     """
 
     max_measurements: int = 8
-    acknowledge_cost: bool = False
-
-    def effective_cap(self) -> int:
-        if self.max_measurements > 8 and not self.acknowledge_cost:
-            raise ValidationError(
-                [
-                    f"options.max_measurements={self.max_measurements} exceeds 8; "
-                    f"set acknowledge_cost to accept the Bell-number growth"
-                ]
-            )
-        return self.max_measurements
 
 
 @dataclass
@@ -170,22 +169,28 @@ def subpartition_product(subpartition: Partition, eta: Mapping[Cell, float]) -> 
 
 
 def cell_coefficient(cell, eta: Mapping[Cell, float], zeta_clutter, zeta_prior,
-                     cache: dict | None = None, cap: int = 8) -> float:
+                     cache: dict | None = None) -> float:
     """beta_W for one cell, from eta and the two log-derivative tables."""
     labels = tuple(sorted(cell))
     terms = [zeta_clutter[len(labels)]]
-    for sub in subpartitions_of(labels, cache=cache, cap=cap):
+    for sub in subpartitions_of(labels, cache=cache):
         terms.append(zeta_prior[len(sub)] * subpartition_product(sub, eta))
     return math.fsum(terms)
 
 
-def partition_weights(ground, beta: Mapping[Cell, float], cap: int = 8) -> dict[Partition, float]:
+def partition_weights(ground, beta: Mapping[Cell, float]) -> dict[Partition, float]:
     """omega_P over all partitions of `ground`, normalized to sum to 1.
 
     Individual weights may be negative (beta is signed for non-poisson
     priors); only the normalizer must stay away from zero.
     """
-    parts = partitions_of(ground, cap=cap)
+    return _omega(ground, beta)[0]
+
+
+def _omega(ground, beta: Mapping[Cell, float]) -> tuple[dict[Partition, float], float]:
+    """omega over the partitions of `ground` and its normalizer, the sum of
+    the beta products."""
+    parts = partitions_of(ground)
     products = [_beta_product(p, beta) for p in parts]
     denominator = math.fsum(products)
     if abs(denominator) < DENOMINATOR_FLOOR:
@@ -193,7 +198,7 @@ def partition_weights(ground, beta: Mapping[Cell, float], cap: int = 8) -> dict[
             "sum of partition coefficient products is numerically zero; "
             "every partition of the measurement set is impossible under the model"
         )
-    return {p: value / denominator for p, value in zip(parts, products)}
+    return {p: value / denominator for p, value in zip(parts, products)}, denominator
 
 
 def _beta_product(partition: Partition, beta: Mapping[Cell, float]) -> float:
@@ -211,8 +216,7 @@ def missed_detection_correction(omega: Mapping[Partition, float],
                                 beta: Mapping[Cell, float],
                                 eta: Mapping[Cell, float],
                                 zeta_prior,
-                                cache: dict | None = None,
-                                cap: int = 8) -> float:
+                                cache: dict | None = None) -> float:
     """kappa: the triple partition sum weighting zeta_prior one order up."""
     terms = []
     for partition, weight in omega.items():
@@ -226,7 +230,7 @@ def missed_detection_correction(omega: Mapping[Partition, float],
                 )
             inner = math.fsum(
                 subpartition_product(sub, eta) * zeta_prior[len(sub) + 1]
-                for sub in subpartitions_of(cell, cache=cache, cap=cap)
+                for sub in subpartitions_of(cell, cache=cache)
             )
             terms.append(weight / b * inner)
     return math.fsum(terms)
@@ -257,11 +261,14 @@ class _Workspace:
                  measurements: MeasurementSet, model: SensorModel,
                  options: CorrectorOptions):
         self.options = options
-        cap = options.effective_cap()
         m = len(measurements)
+        cap = options.max_measurements
         if m > cap:
-            # Reuse the enumeration guard so the error names the Bell cost.
-            partitions_of(range(m), cap=cap)
+            cost = f"Bell({m}) = {bell_number(m)}" if m <= BELL_MAX else f"Bell({m}) > 5e13"
+            raise SizeLimitError(
+                f"partitioning {m} labels enumerates {cost} partitions, above the cap of {cap}; "
+                f"raise it with options.max_z or --max-z to accept the cost"
+            )
         self.measurements = measurements
         self.model = model
         self.prior_card = prior_card
@@ -305,15 +312,7 @@ class _Workspace:
                 + [sums[q] * self.zeta_prior[q] for q in range(1, size + 1)]
             )
 
-        self.partitions = partitions_of(range(m), cap=cap)
-        products = [_beta_product(p, self.beta) for p in self.partitions]
-        self.normalizer = math.fsum(products)
-        if abs(self.normalizer) < DENOMINATOR_FLOOR:
-            raise DegenerateUpdateError(
-                "sum of partition coefficient products is numerically zero; "
-                "every partition of the measurement set is impossible under the model"
-            )
-        self.omega = {p: v / self.normalizer for p, v in zip(self.partitions, products)}
+        self.omega, self.normalizer = _omega(range(m), self.beta)
 
         # The clutter takes a subset S of Z and the targets partition the rest
         # into j cells: upsilon_j = sum_S c_|S| E_j(Z - S), N = sum_j g_j upsilon_j.
@@ -519,7 +518,7 @@ def corrector_step(prior_intensity: Intensity, prior_card: CardinalityPgf,
         "posterior_mass": mass,
         "posterior_mean_from_cardinality": mean_from_card,
         "route_max_deviation": route_deviation,
-        "partition_count": len(ws.partitions),
+        "partition_count": len(ws.omega),
         "negative_intensity_clipped": clipped,
         "warnings": warnings,
         "wall_time_s": elapsed,

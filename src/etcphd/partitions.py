@@ -4,42 +4,20 @@ Partitions are generated from restricted-growth strings in lexicographic
 order, which yields a canonical enumeration directly: cells come out sorted
 by their smallest element, with ascending labels inside each cell, and two
 enumerations of the same ground set are identical sequences.  The number of
-partitions of an n-set is the Bell number B_n, so enumeration is guarded by
-a size cap.
+partitions of an n-set is the Bell number B_n; the corrector step bounds the
+measurement count before it enumerates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import SizeLimitError
-
 Cell = tuple[int, ...]
+# Disjoint non-empty cells covering a label set.  Canonical form: each cell
+# holds ascending labels, cells are ordered by their smallest element.
+Partition = tuple[Cell, ...]
 
-DEFAULT_CAP = 8
 BELL_MAX = 20
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of a label set: disjoint non-empty cells covering the ground set.
-
-    Canonical form: each cell holds ascending labels, cells are ordered by
-    their smallest element.
-    """
-
-    cells: tuple[Cell, ...]
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(self.cells)
-
-    @property
-    def ground(self) -> tuple[int, ...]:
-        return tuple(sorted(label for cell in self.cells for label in cell))
 
 
 def bell_number(n: int) -> int:
@@ -83,29 +61,22 @@ def _cells_from_string(labels: tuple[int, ...], rgs: tuple[int, ...]) -> Partiti
             blocks.append([label])
         else:
             blocks[block_id].append(label)
-    return Partition(tuple(tuple(block) for block in blocks))
+    return tuple(tuple(block) for block in blocks)
 
 
-def partitions_of(ground, cap: int = DEFAULT_CAP) -> list[Partition]:
+def partitions_of(ground) -> list[Partition]:
     """Every partition of `ground` exactly once, in canonical order.
 
-    The empty set has exactly one partition: the empty partition.  Raises
-    SizeLimitError above `cap`, naming the Bell-number cost.
+    The empty set has exactly one partition: the empty partition.
     """
     labels = tuple(sorted(ground))
     n = len(labels)
     if len(set(labels)) != n:
         raise ValueError(f"ground set contains duplicate labels: {labels}")
-    if n > cap:
-        cost = f"Bell({n}) = {bell_number(n)}" if n <= BELL_MAX else f"Bell({n}) > 5e13"
-        raise SizeLimitError(
-            f"partitioning {n} labels enumerates {cost} partitions, above the cap of {cap}; "
-            f"raise the cap only with the cost acknowledged"
-        )
     return [_cells_from_string(labels, rgs) for rgs in _restricted_growth_strings(n)]
 
 
-def subpartitions_of(cell, cache: dict | None = None, cap: int = DEFAULT_CAP) -> list[Partition]:
+def subpartitions_of(cell, cache: dict | None = None) -> list[Partition]:
     """Partitions of one non-empty cell; semantics identical to partitions_of.
 
     `cache` memoizes by cell content; pass one dict per corrector step.
@@ -115,7 +86,7 @@ def subpartitions_of(cell, cache: dict | None = None, cap: int = DEFAULT_CAP) ->
         raise ValueError("subpartitions_of requires a non-empty cell")
     if cache is not None and labels in cache:
         return cache[labels]
-    result = partitions_of(labels, cap=cap)
+    result = partitions_of(labels)
     if cache is not None:
         cache[labels] = result
     return result
@@ -129,7 +100,7 @@ def partition_sums(weight, mul, total, every_subset: bool = False) -> list:
     list of them; an exact sum keeps rounding from piling up over the terms.
     weight has 2**n entries, weight[0] being the unit.  Fixing the lowest
     label, F(S) = sum of weight[W] * F(S - W) over the W within S that hold
-    min S: O(3**n) products, no Partition built.  Without `every_subset` only
+    min S: O(3**n) products, no partition built.  Without `every_subset` only
     what F[full] needs is evaluated (the sets without label 0, and the full
     set); the other entries stay None.
     """
@@ -154,7 +125,7 @@ def is_partition_of(partition: Partition, ground) -> bool:
     """Invariant checker: disjoint, non-empty, canonical cells covering `ground`."""
     seen: set[int] = set()
     previous_min = None
-    for cell in partition.cells:
+    for cell in partition:
         if not cell:
             return False
         if list(cell) != sorted(cell):

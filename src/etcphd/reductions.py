@@ -49,7 +49,7 @@ def _require_poisson(model: SensorModel, prior_card: CardinalityPgf | None = Non
 
 
 def etphd_update(prior_intensity: Intensity, measurements: MeasurementSet,
-                 model: SensorModel, cap: int = 8) -> EtphdResult:
+                 model: SensorModel) -> EtphdResult:
     """Extended-target PHD corrector in its published form.
 
     Cell coefficients are d_W = delta_{|W|,1} + D[p_D gamma^|W| e^-gamma
@@ -89,7 +89,7 @@ def etphd_update(prior_intensity: Intensity, measurements: MeasurementSet,
             mass = float(math.fsum(intensity * profile * grid.weights))
             d[cell] = (1.0 if size == 1 else 0.0) + mass
 
-    parts = partitions_of(labels, cap=cap)
+    parts = partitions_of(labels)
     products = []
     for partition in parts:
         value = 1.0
@@ -214,10 +214,7 @@ def check_poisson_reduction(scenario, tolerance: float = 1e-12,
         scenario.prior_intensity, scenario.prior_card,
         scenario.measurements, scenario.model, scenario.options,
     )
-    reference = etphd_update(
-        scenario.prior_intensity, scenario.measurements, scenario.model,
-        cap=scenario.options.effective_cap(),
-    )
+    reference = etphd_update(scenario.prior_intensity, scenario.measurements, scenario.model)
     intensity_dev = _max_relative_deviation(result.intensity, reference.intensity)
     omega_dev = 0.0
     for partition, weight in reference.omega.items():

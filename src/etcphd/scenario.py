@@ -248,25 +248,14 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
     if not isinstance(options_doc, dict):
         errors.append("options: expected an object")
     else:
-        known = {
-            "max_z": ("max_measurements", int),
-            "acknowledge_cost": ("acknowledge_cost", bool),
-        }
-        kwargs = {}
-        for key, value in options_doc.items():
-            if key not in known:
-                errors.append(f"options.{key}: unknown option")
-                continue
-            attr, kind = known[key]
-            if value is not None and not isinstance(value, kind):
-                errors.append(f"options.{key}: expected {kind.__name__}")
-            elif value is not None:
-                kwargs[attr] = value
-        options = CorrectorOptions(**kwargs)
-        try:
-            options.effective_cap()
-        except ValidationError as exc:
-            errors.extend(exc.violations)
+        errors.extend(f"options.{key}: unknown option" for key in options_doc if key != "max_z")
+        max_z = options_doc.get("max_z")
+        if max_z is not None:
+            # bool is an int subclass: `true` must not load as a limit of 1.
+            if isinstance(max_z, bool) or not isinstance(max_z, int) or max_z < 0:
+                errors.append("options.max_z: expected a non-negative integer")
+            else:
+                options = CorrectorOptions(max_measurements=max_z)
 
     if errors:
         raise ValidationError(errors)
@@ -345,7 +334,7 @@ def step_result_to_dict(step: StepResult) -> dict:
             "eta": {_cell_key(c): v for c, v in coeff.eta.items()},
             "beta": {_cell_key(c): v for c, v in coeff.beta.items()},
             "omega": [
-                {"cells": [list(c) for c in p.cells], "weight": w}
+                {"cells": [list(c) for c in p], "weight": w}
                 for p, w in coeff.omega.items()
             ],
         },
@@ -355,7 +344,6 @@ def step_result_to_dict(step: StepResult) -> dict:
 
 def step_result_from_dict(doc: dict) -> StepResult:
     from .corrector import CoefficientTable
-    from .partitions import Partition
 
     coeff_doc = doc["coefficients"]
 
@@ -364,7 +352,7 @@ def step_result_from_dict(doc: dict) -> StepResult:
 
     omega = {}
     for entry in coeff_doc["omega"]:
-        partition = Partition(tuple(tuple(int(z) for z in cell) for cell in entry["cells"]))
+        partition = tuple(tuple(int(z) for z in cell) for cell in entry["cells"])
         omega[partition] = float(entry["weight"])
     table = CoefficientTable(
         phi=float(coeff_doc["phi"]),

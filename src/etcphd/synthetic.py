@@ -178,7 +178,6 @@ def performance_scenario(n_measurements: int, n_points: int = 50,
     clutter_card = CardinalityPgf.poisson(2.0)
     meas_cards = [CardinalityPgf.poisson(float(rng.uniform(0.5, 1.5)))
                   for _ in range(n_points)]
-    options = CorrectorOptions(max_measurements=max(8, n_measurements),
-                               acknowledge_cost=n_measurements > 8)
+    options = CorrectorOptions(max_measurements=max(8, n_measurements))
     return _assemble(rng, n_points, n_values, prior_card, meas_cards, p_d,
                      clutter_card, n_measurements, options=options)

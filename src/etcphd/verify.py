@@ -186,8 +186,8 @@ def run_standard_reduction_suite(seeds: int = 25, base_seed: int = 3300) -> dict
 def oracle_comparison(scenario) -> dict:
     """Corrector against the exhaustive posterior on one scenario.
 
-    Scenarios the corrector's size caps reject come back as structured skip
-    entries rather than failures."""
+    Scenarios above the corrector's measurement limit come back as
+    structured skip entries rather than failures."""
     from .errors import SizeLimitError
 
     try:

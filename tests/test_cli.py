@@ -56,6 +56,17 @@ def test_usage_error_exit_code():
     assert main(["verify", "--acknowledge-cost"]) == 2
 
 
+def test_invalid_max_z_exit_codes(scenarios_dir, tmp_path, capsys):
+    config = scenarios_dir / "standard_small.json"
+    assert main(["update", "--config", str(config), "--max-z", "-1"]) == 2
+    doc = json.loads(config.read_text())
+    doc["options"] = {"max_z": True}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["update", "--config", str(bad)]) == 3
+    assert "options.max_z" in capsys.readouterr().err
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -35,10 +35,9 @@ from etcphd.errors import (
     DegenerateUpdateError,
     SingularEvaluationError,
     SizeLimitError,
-    ValidationError,
 )
 from etcphd.oracle import compare_to_corrector, exact_posterior
-from etcphd.partitions import Partition, partition_sums, subpartitions_of
+from etcphd.partitions import Partition, bell_number, partition_sums, subpartitions_of
 from etcphd.pgf import MAX_SUPPORT, CardinalityPgf, Jet
 from etcphd.scenario import StepResult, dump_json, step_result_from_dict, step_result_to_dict
 from etcphd.statespace import (
@@ -848,10 +847,17 @@ def test_measurement_cap_names_bell_cost():
     assert "Bell(9)" in str(excinfo.value)
 
 
-def test_raised_cap_requires_acknowledgment():
-    with pytest.raises(ValidationError):
-        CorrectorOptions(max_measurements=10).effective_cap()
-    assert CorrectorOptions(max_measurements=10, acknowledge_cost=True).effective_cap() == 10
+def test_raised_cap_alone_admits_a_larger_step():
+    # Raising the limit is itself the acceptance of the Bell-number cost.
+    scenario = performance_scenario(9)
+    result = corrector_step(scenario.prior_intensity, scenario.prior_card,
+                            scenario.measurements, scenario.model,
+                            CorrectorOptions(max_measurements=9))
+    diagnostics = result.diagnostics
+    assert diagnostics["partition_count"] == bell_number(9) == 21147
+    assert abs(diagnostics["cardinality_sum"] - 1.0) <= CARDINALITY_SUM_TOL
+    gap = diagnostics["posterior_mass"] - diagnostics["posterior_mean_from_cardinality"]
+    assert abs(gap) <= FIRST_MOMENT_TOL
 
 
 def test_degenerate_update_on_impossible_data():

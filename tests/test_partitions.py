@@ -4,7 +4,6 @@ import operator
 import numpy as np
 import pytest
 
-from etcphd.errors import SizeLimitError
 from etcphd.partitions import (
     Partition,
     bell_number,
@@ -96,10 +95,12 @@ def test_subpartition_cache_reuse():
     assert first is second
 
 
-def test_cap_error_names_bell_cost():
-    with pytest.raises(SizeLimitError) as excinfo:
-        partitions_of(range(9))
-    assert "Bell(9) = 21147" in str(excinfo.value)
+def test_partitions_are_plain_canonical_tuples():
+    # No size limit here: the corrector step bounds |Z| before it enumerates.
+    parts = partitions_of(range(9))
+    assert len(set(parts)) == len(parts) == 21147
+    assert all(type(p) is tuple and is_partition_of(p, range(9)) for p in parts)
+    assert parts[0] == Partition((tuple(range(9)),)) == (tuple(range(9)),)
 
 
 def test_duplicate_labels_rejected():

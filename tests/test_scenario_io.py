@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from etcphd.cli import main
 from etcphd.corrector import corrector_step
 from etcphd.errors import ValidationError
 from etcphd.pgf import CardinalityPgf
@@ -146,14 +147,24 @@ def test_measurement_index_bounds_checked():
     assert any("measurements[0]" in v for v in excinfo.value.violations)
 
 
-def test_raised_cap_requires_acknowledgment_on_load():
+def test_raised_cap_loads_without_acknowledgment():
     doc = base_doc()
     doc["options"] = {"max_z": 10}
-    with pytest.raises(ValidationError):
-        scenario_from_dict(doc)
+    assert scenario_from_dict(doc).options.max_measurements == 10
     doc["options"] = {"max_z": 10, "acknowledge_cost": True}
-    scenario = scenario_from_dict(doc)
-    assert scenario.options.max_measurements == 10
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(doc)
+    assert excinfo.value.violations == ["options.acknowledge_cost: unknown option"]
+    assert main(["update", "--config", "x.json", "--acknowledge-cost"]) == 2
+
+
+@pytest.mark.parametrize("value", [True, False, -1, 8.0, "8"])
+def test_max_z_must_be_a_non_negative_integer(value):
+    doc = base_doc()
+    doc["options"] = {"max_z": value}
+    with pytest.raises(ValidationError) as excinfo:
+        scenario_from_dict(doc)
+    assert excinfo.value.violations == ["options.max_z: expected a non-negative integer"]
 
 
 def test_step_result_round_trip(scenarios_dir):
